@@ -1,19 +1,12 @@
-"""Engine benchmarks: decision-layer (PR 3), data-plane (PR 4),
-fault-recovery (PR 5), multi-tenant job-service (PR 6), observability
-(PR 7), columnar-backend (PR 8), sharded-engine (PR 9) and
-elastic-fleet (PR 10) hot paths.
+"""Engine benchmarks: fault-recovery (PR 5), multi-tenant job-service
+(PR 6), observability (PR 7), columnar-backend (PR 8), sharded-engine
+(PR 9) and elastic-fleet (PR 10) hot paths.  (The decision layer and the
+fused data plane have one implementation each; their cells are
+``pr_pressure`` and ``chain_kernels`` of the repository benchmark,
+``bench/``.)
 
-Eight suites, one script:
+Six suites, one script:
 
-- **decision** — pressure-heavy cells (working set overflows the memory
-  store, eviction/admission decisions dominate) run with
-  ``incremental_decisions`` off then on;
-- **dataplane** — low-pressure cells (decisions cheap, the engine's
-  per-partition materialization work dominates) run with
-  ``fused_execution`` off then on.  The ``chain`` workload is the
-  flagship: deep unannotated narrow chains the fused layer collapses into
-  single-pass pipelines; ``pr``/``kmeans`` measure the bulk shuffle plane
-  and copy elimination on shuffle-bound and per-element-bound workloads;
 - **faults** — each cell runs clean, then again under a seeded
   :class:`FaultSchedule` spanning 80% of the clean run's virtual
   makespan.  The faulted measurement reports the fault counters plus a
@@ -79,13 +72,13 @@ Every measurement also records its data-plane identity — ``backend``
 different suites and PRs remain comparable after the columnar default
 flipped on.
 
-Both flags are observationally invisible (enforced byte-for-byte by
-``tests/integration/test_trace_identity.py`` and
-``tests/property/test_fusion_props.py``), so every delta is pure engine
-overhead.  Each cell cross-checks eviction counts and ILP node counts
-between its two modes and reports ``observables_identical``.
+The obs and columnar flags are observationally invisible (enforced
+byte-for-byte by ``tests/integration/test_trace_identity.py``), so every
+delta is pure engine overhead.  Each of their cells cross-checks eviction
+counts and ILP node counts between its two modes and reports
+``observables_identical``.
 
-Run:  PYTHONPATH=src python scripts/bench.py [--out BENCH_pr4.json]
+Run:  PYTHONPATH=src python scripts/bench.py [--suite NAME] [--out FILE]
       PYTHONPATH=src python scripts/bench.py --smoke       # tiny, in-process
       PYTHONPATH=src python scripts/bench.py --profile ... # + cProfile top-N
 
@@ -94,33 +87,11 @@ per-cell high-water mark; ``--smoke`` runs a shrunken matrix in-process
 (no RSS; the tier-1 suite uses it to assert the counters move the right
 way).  ``--profile`` adds one extra profiled run per measurement and
 stores the top functions by cumulative time under ``profile_top``.
-Output schema (``BENCH_pr4.json``)::
+Output schema (faults and service shown; every suite is one top-level
+key)::
 
     {
       "seed": 3,
-      "decision": {
-        "scale": ..., "pressure_factor": ...,
-        "cells": [
-          {"system": ..., "workload": ..., "num_partitions": ..., "seed": ...,
-           "naive":       {"wall_seconds": ..., "peak_rss_kib": ...,
-                           "evictions": ..., "counters": {...}},
-           "incremental": {... same shape ...},
-           "speedup": <naive wall / incremental wall>}
-        ],
-        "min_speedup": ..., "max_speedup": ..., "blaze_min_speedup": ...
-      },
-      "dataplane": {
-        "scale": ...,
-        "cells": [
-          {"system": ..., "workload": ..., "num_partitions": ..., "seed": ...,
-           "unfused": {"wall_seconds": ..., "peak_rss_kib": ...,
-                       "evictions": ..., "counters": {...}},
-           "fused":   {... same shape ...},
-           "speedup": <unfused wall / fused wall>,
-           "observables_identical": true}
-        ],
-        "min_speedup": ..., "max_speedup": ...
-      },
       "faults": {
         "scale": ...,
         "cells": [
@@ -148,7 +119,9 @@ Output schema (``BENCH_pr4.json``)::
       }
     }
 
-The service suite (PR 6) writes ``BENCH_pr6.json`` by default.
+The faults suite (PR 5) writes ``BENCH_pr5.json`` by default, the
+service suite (PR 6) ``BENCH_pr6.json``; ``--suite all`` writes
+``BENCH_all.json``.
 """
 
 from __future__ import annotations
@@ -190,12 +163,6 @@ SEED = 3
 #: paper-scale partition multiplier (20 -> 160 partitions): ~8x the
 #: memory store, deep into Fig. 9's pressure regime
 PRESSURE_FACTOR = 8
-#: decision suite (PR 3): where the cache manager's own work dominates
-DECISION_SYSTEMS = ["blaze", "costaware", "autocache"]
-DECISION_WORKLOADS = ["pr", "cc"]
-#: data-plane suite (PR 4): low pressure, decisions deliberately cheap
-DATAPLANE_SYSTEMS = ["blaze", "costaware", "spark_mem_disk"]
-DATAPLANE_WORKLOADS = ["chain", "pr", "kmeans"]
 #: fault suite (PR 5): clean vs seeded-schedule runs, recovery engaged
 FAULT_SYSTEMS = ["blaze", "costaware", "spark_mem_disk"]
 FAULT_WORKLOADS = ["pr", "cc"]
@@ -285,25 +252,21 @@ def run_cell(
     profile: bool = False,
 ) -> dict:
     """One measurement: a full experiment with the suite's flag pinned."""
-    if suite in ("decision", "obs"):
+    if suite == "obs":
         # Pressure configuration: partitions inflated past the store.
         if scale == "tiny":
-            wl = replace_params(make_workload(workload, "tiny"), num_partitions=24)
-            if suite == "obs":
-                # The obs cell measures a small relative overhead; more
-                # iterations stretch the cell so timer noise stays well
-                # under the 10% acceptance bar.
-                wl = replace_params(wl, iterations=9)
+            # The obs cell measures a small relative overhead; more
+            # iterations stretch the cell so timer noise stays well
+            # under the 10% acceptance bar.
+            wl = replace_params(
+                make_workload(workload, "tiny"), num_partitions=24, iterations=9
+            )
             cluster = smoke_cluster()
         else:
             base = make_workload(workload, scale)
             wl = replace_params(base, num_partitions=base.num_partitions * PRESSURE_FACTOR)
             cluster = None
-        bcfg = (
-            BlazeConfig(obs=ObsConfig(enabled=flag))
-            if suite == "obs"
-            else BlazeConfig(incremental_decisions=flag)
-        )
+        bcfg = BlazeConfig(obs=ObsConfig(enabled=flag))
     elif suite == "faults":
         # Registry shapes; the flag arms a seeded schedule over 80% of
         # the clean run's virtual makespan (the last 20% is left quiet so
@@ -311,7 +274,7 @@ def run_cell(
         wl = make_workload(workload, scale)
         cluster = smoke_cluster() if scale == "tiny" else None
         bcfg = BlazeConfig(fault_injection=flag)
-    elif suite == "columnar":
+    else:  # columnar
         # Kernel-eligible shape: a deep element-wise chain over cached
         # (int, float) pairs with thousands of rows per partition, so the
         # list side pays tens of millions of per-record Python calls that
@@ -328,12 +291,6 @@ def run_cell(
             )
             cluster = None
         bcfg = BlazeConfig(columnar_backend=flag)
-    else:
-        # Low-pressure configuration: the registry's own shapes, where
-        # decision work is cheap and the data plane dominates.
-        wl = make_workload(workload, scale)
-        cluster = None
-        bcfg = BlazeConfig(fused_execution=flag)
 
     schedule = None
     reference = None
@@ -901,8 +858,6 @@ def run_matrix(
     profile: bool = False,
 ) -> dict:
     off_label, on_label = {
-        "decision": ("naive", "incremental"),
-        "dataplane": ("unfused", "fused"),
         "faults": ("clean", "faulted"),
         "obs": ("obs_off", "obs_on"),
         "columnar": ("list", "columnar"),
@@ -937,7 +892,7 @@ def run_matrix(
                 ),
             }
             on.pop("num_partitions", None)
-            if suite in ("dataplane", "obs", "columnar"):
+            if suite in ("obs", "columnar"):
                 cell["observables_identical"] = (
                     off["evictions"] == on["evictions"]
                     and off["counters"]["ilp_nodes"] == on["counters"]["ilp_nodes"]
@@ -959,35 +914,28 @@ def run_matrix(
                 flush=True,
             )
     speedups = [c["speedup"] for c in cells]
-    doc = {
+    return {
         "scale": scale,
         "seed": SEED,
         "cells": cells,
         "min_speedup": min(speedups),
         "max_speedup": max(speedups),
     }
-    if suite == "decision":
-        doc["pressure_factor"] = PRESSURE_FACTOR if scale != "tiny" else None
-        # The ablations barely exercise the decision layer (cheap ordering
-        # keys, no admission/ILP), so the headline number is the full-Blaze
-        # subset where decisions dominate the naive wall-clock.
-        blaze = [c["speedup"] for c in cells if c["system"] == "blaze"] or speedups
-        doc["blaze_min_speedup"] = min(blaze)
-    return doc
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default=None,
-                        help="output path (default: BENCH_pr6.json for the "
-                             "service suite, BENCH_pr4.json otherwise)")
+                        help="output path (default: BENCH_pr<N>.json of the "
+                             "PR that introduced the suite, BENCH_all.json "
+                             "for --suite all)")
     parser.add_argument("--smoke", action="store_true", help="tiny scale, in-process, fast")
     parser.add_argument("--profile", action="store_true",
                         help="attach cProfile top-N to every measurement")
     parser.add_argument(
         "--suite",
-        choices=["decision", "dataplane", "faults", "service", "obs",
-                 "columnar", "scale", "elastic", "all"],
+        choices=["faults", "service", "obs", "columnar", "scale", "elastic",
+                 "all"],
         default="all",
     )
     parser.add_argument("--cell", help="(internal) run one cell from a JSON spec")
@@ -1007,16 +955,6 @@ def main(argv: list[str] | None = None) -> int:
 
     doc: dict = {"seed": SEED}
     if args.smoke:
-        if args.suite in ("decision", "all"):
-            doc["decision"] = run_matrix(
-                "decision", "tiny", ["blaze"], ["pr"], in_process=True,
-                profile=args.profile,
-            )
-        if args.suite in ("dataplane", "all"):
-            doc["dataplane"] = run_matrix(
-                "dataplane", "tiny", ["blaze", "spark_mem_disk"], ["chain"],
-                in_process=True, profile=args.profile,
-            )
         if args.suite in ("faults", "all"):
             doc["faults"] = run_matrix(
                 "faults", "tiny", ["blaze", "spark_mem_disk"], ["pr"],
@@ -1046,16 +984,6 @@ def main(argv: list[str] | None = None) -> int:
                 ["blaze"], ["pr"], "tiny", in_process=True,
             )
     else:
-        if args.suite in ("decision", "all"):
-            doc["decision"] = run_matrix(
-                "decision", "paper", DECISION_SYSTEMS, DECISION_WORKLOADS,
-                in_process=False, profile=args.profile,
-            )
-        if args.suite in ("dataplane", "all"):
-            doc["dataplane"] = run_matrix(
-                "dataplane", "paper", DATAPLANE_SYSTEMS, DATAPLANE_WORKLOADS,
-                in_process=False, profile=args.profile,
-            )
         if args.suite in ("faults", "all"):
             doc["faults"] = run_matrix(
                 "faults", "paper", FAULT_SYSTEMS, FAULT_WORKLOADS,
@@ -1084,14 +1012,15 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     out = args.out or {
+        "faults": "BENCH_pr5.json",
         "service": "BENCH_pr6.json",
         "obs": "BENCH_pr7.json",
         "columnar": "BENCH_pr8.json",
         "scale": "BENCH_pr9.json",
         "elastic": "BENCH_pr10.json",
-    }.get(args.suite, "BENCH_pr4.json")
+    }.get(args.suite, "BENCH_all.json")
     Path(out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    for suite in ("decision", "dataplane", "faults", "columnar"):
+    for suite in ("faults", "columnar"):
         if suite in doc:
             print(
                 f"[bench] {suite}: speedups {doc[suite]['min_speedup']}x - "

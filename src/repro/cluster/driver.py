@@ -44,7 +44,6 @@ class Driver:
         self,
         cluster: "Cluster",
         cache_manager: "CacheManager",
-        fused_execution: bool = True,
         fault_injector: "FaultInjector | None" = None,
         columnar=None,
     ) -> None:
@@ -73,8 +72,7 @@ class Driver:
         self._task_memo: dict[BlockId, list] = {}
         self._task_size_memo: dict[BlockId, float] = {}
         self._recovery_depth = 0
-        self.fused_execution = bool(fused_execution)
-        self._fusion = FusionPlanner(self) if self.fused_execution else None
+        self._fusion = FusionPlanner(self)
         #: the shard coordinator (``repro.shard``) when the sharded engine
         #: is on, else None: stages dispatch as supersteps before running,
         #: and ``_compute`` substitutes worker-speculated results.
@@ -119,8 +117,7 @@ class Driver:
                 kind="result" if stage.is_result else "shuffle_map",
             )
             self.cache_manager.on_stage_start(stage)
-            if self._fusion is not None:
-                self._fusion.begin_stage()
+            self._fusion.begin_stage()
             if self.shard is not None:
                 self.shard.prepare_stage(stage)
             self._run_stage(stage, job, results)
@@ -314,7 +311,7 @@ class Driver:
                 # and offered: memoized even when admission declines, so a
                 # recomputed-after-eviction split stays columnar too.
                 data = self.columnar.encode_for_cache(rdd, data, self.metrics)
-            if self.fused_execution and not rdd.size_model.measured:
+            if not rdd.size_model.measured:
                 size = self._task_size_memo.get(block_id)
                 if size is None:
                     self.metrics.bytes_for_memo_misses += 1
@@ -464,11 +461,10 @@ class Driver:
         tm: TaskMetrics,
     ) -> list:
         """Run the operator body, resolving inputs recursively."""
-        if self._fusion is not None:
-            chain = self._fusion.plan_for(rdd)
-            if chain is not None and self._fusion.runtime_ok(chain, split):
-                out, n_in = self._fusion.execute(chain, split, executor, tm)
-                return self._charge_computed(rdd, split, n_in, out, tm)
+        chain = self._fusion.plan_for(rdd)
+        if chain is not None and self._fusion.runtime_ok(chain, split):
+            out, n_in = self._fusion.execute(chain, split, executor, tm)
+            return self._charge_computed(rdd, split, n_in, out, tm)
         narrow_data = [
             self.materialize(parent, ps, executor, tm)
             for parent, ps in rdd.narrow_inputs(split)
@@ -531,7 +527,7 @@ class Driver:
         self.cache_manager.on_partition_computed(
             rdd, split, n_in, len(out), seconds, weight
         )
-        if self.fused_execution and not rdd.size_model.measured:
+        if not rdd.size_model.measured:
             self._task_size_memo[(rdd.rdd_id, split)] = rdd.size_model.bytes_for(weight)
         return out
 

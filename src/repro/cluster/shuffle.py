@@ -84,10 +84,6 @@ class ShuffleManager:
 
     def __init__(self, config: "ClusterConfig") -> None:
         self._config = config
-        #: bulk (vectorized) bucketing/merging for integer keys; enabled by
-        #: the context when ``BlazeConfig.fused_execution`` is on.  Results
-        #: are element- and order-identical to the per-record path.
-        self.fast_path = False
         # shuffle_id -> map_split -> reduce_split -> list of (k, v) records
         self._outputs: dict[int, dict[int, dict[int, list]]] = {}
         # shuffle_id -> id of the job whose execution produced the outputs
@@ -141,7 +137,7 @@ class ShuffleManager:
         else:
             records = elements  # read-only from here on; no defensive copy
 
-        buckets = self._bucket_bulk(records, partitioner) if self.fast_path else None
+        buckets = self._bucket_bulk(records, partitioner)
         if buckets is None:
             buckets = {}
             get_bucket = buckets.get

@@ -276,10 +276,6 @@ class BlazeConfig:
     Engine kill switches at a glance (each is documented in detail at its
     field below):
 
-    - ``incremental_decisions`` — epoch cost cache + victim index
-      (decisions bit-identical either way);
-    - ``fused_execution`` — fused data plane (observationally identical
-      either way);
     - ``columnar_backend`` — columnar partition storage + vectorized
       fused kernels (traces byte-identical either way; see
       ``repro.storage`` and docs/performance.md);
@@ -328,18 +324,6 @@ class BlazeConfig:
     # False models the Fig. 12 memory-only Blaze variant: victims are always
     # discarded and nothing is spilled.
     disk_enabled: bool = True
-
-    # Incremental decision hot paths (epoch-cached costs + indexed victim
-    # order).  Decisions are bit-identical either way — the flag exists as
-    # a kill switch and as the baseline for `scripts/bench.py`.
-    incremental_decisions: bool = True
-
-    # Fused data plane (narrow-chain pipelining, bulk shuffle bucketing,
-    # size-model memoization).  Execution is observationally identical
-    # either way — same cache events, same virtual-time charges, same
-    # decisions — so the flag is a kill switch and the baseline for the
-    # data-plane cells of `scripts/bench.py`.
-    fused_execution: bool = True
 
     # Columnar data plane (the ``repro.storage`` package).  Partitions
     # whose records are type-analyzable (numeric scalars, fixed tuples of

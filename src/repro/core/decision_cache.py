@@ -1,10 +1,12 @@
 """Epoch-cached decision state: cost memos and the indexed victim order.
 
-The naive decision layer re-derives everything per admission: a fresh
-``memo={}`` for the cost recursion, an O(B) filter + sort over every
-resident block for victim selection, and a full event-bucket scan for
-reference counts.  This module makes those hot paths incremental while
-producing *bit-identical* decisions (the JSONL trace is the oracle):
+Re-deriving an admission from scratch takes a fresh ``memo={}`` for the
+cost recursion, an O(B) filter + sort over every resident block for
+victim selection, and a full event-bucket scan for reference counts.
+This module keeps that state up to date across admissions instead.  The
+contract: every read equals what the from-scratch derivation would
+return against the same snapshot, bit for bit (``tests/property`` and
+the online differential oracle in ``tests/integration`` check it):
 
 - :class:`DecisionCostCache` memoizes ``potential_cost`` / ``cost_r`` /
   eviction-state results across admissions.  Entries are stamped with
@@ -21,18 +23,18 @@ producing *bit-identical* decisions (the JSONL trace is the oracle):
   shift them without touching the dataset itself — so they are stamped
   with the global touch counter instead and die on the next touch of
   anything.
-- :class:`VictimIndex` keeps each executor's resident blocks in a sorted
-  structure keyed exactly like the naive sort (``(order_key, seq,
-  block_id)``).  Entries are repaired lazily: a version change rebuilds,
+- :class:`VictimIndex` keeps each executor's resident blocks sorted by
+  ``(order_key, seq, block_id)``, the order a filter + sort would
+  produce.  Entries are repaired lazily: a version change rebuilds,
   a dirty mark (from the same split propagation) re-keys just the
   affected entries, and tombstoned removals are compacted in bulk.
 
-Correctness note on snapshots: the naive admission shares one memo dict
-across victim selection, the admission comparison, and every per-victim
-eviction-state decision, so all of those reflect the *pre-eviction*
-residency snapshot even though evictions mutate state mid-loop.  The
-incremental path reproduces this by resolving every needed value before
-the first eviction (see ``BlazeCacheManager._admit_incremental``).
+Correctness note on snapshots: victim selection, the admission
+comparison, and every per-victim eviction-state decision of one admission
+all price the *pre-eviction* residency snapshot, while evictions mutate
+state (and invalidate entries here) as they execute — so
+``BlazeCacheManager._admit`` resolves every needed value before the first
+eviction.
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ class DecisionCostCache:
         return ok
 
     # ------------------------------------------------------------------
-    # Cached cost queries (values bit-identical to the naive path)
+    # Cached cost queries (values bit-identical to fresh-memo computes)
     # ------------------------------------------------------------------
     def _lookup(
         self, table: dict, rdd_id: int, split: int
@@ -311,7 +313,7 @@ class DecisionCostCache:
         return self.block_value_ex(block)[0]
 
     def block_value_ex(self, block: "Block") -> tuple[float, bool]:
-        """Reference-weighted potential cost, mirroring ``_block_value``."""
+        """Reference-weighted potential cost of a cached block."""
         refs = self.lineage.future_refs(block.rdd_id, inclusive=True)
         if refs <= 0:
             return 0.0, True
@@ -331,7 +333,7 @@ class DecisionCostCache:
     def preferred_state(self, rdd_id: int, split: int) -> PartitionState:
         """Cached twin of ``CostModel.preferred_eviction_state``.
 
-        The expression mirrors the naive one operand-for-operand so the
+        The expression mirrors that one operand-for-operand so the
         comparison sees identical floats (including the remote-tier
         strict-less-than override when a remote model is bound).
         """
@@ -353,11 +355,9 @@ class DecisionCostCache:
         """Audit probe: ``(cost_d, cost_r, potential_cost)`` via the caches.
 
         Resolved at the current epoch, so the values are bit-identical to
-        a fresh naive computation against the same snapshot (this cache's
-        core invariant) — which is what makes ``report().explain()``
-        answers path-invariant between the incremental and kill-switched
-        decision engines.  Reading may populate memo entries (shifting
-        the hit/miss counters); it never changes a value or a decision.
+        a fresh computation against the same snapshot (this cache's core
+        invariant).  Reading may populate memo entries (shifting the
+        hit/miss counters); it never changes a value or a decision.
         """
         cost_d = self.cost_model.cost_d(rdd_id, split, self.scratch())
         return cost_d, self.cost_r(rdd_id, split), self.potential_cost(rdd_id, split)
@@ -366,9 +366,9 @@ class DecisionCostCache:
 class VictimIndex:
     """Per-executor sorted victim order with lazy invalidation.
 
-    Entries are ``(order_key, seq, block_id)`` — exactly the naive sort
-    key — kept in a sorted list.  Removals tombstone (the live entry map
-    is authoritative); stale entries are re-keyed in place.  A lineage
+    Entries are ``(order_key, seq, block_id)`` kept in a sorted list, the
+    order sorting the residents would give.  Removals tombstone (the live
+    entry map is authoritative); stale entries are re-keyed in place.  A lineage
     version change invalidates every key (reference counts enter the
     full-Blaze ordering), so the index rebuilds at most once per stage
     instead of sorting on every admission.
@@ -530,9 +530,9 @@ class VictimIndex:
     ) -> tuple[list["Block"] | None, int]:
         """Walk the order cheapest-first; returns (victims, scanned).
 
-        Mirrors the naive selection exactly: skip blocks of the incoming
-        dataset, stop once enough bytes are freed, ``None`` when even
-        evicting everything eligible falls short.
+        Skips blocks of the incoming dataset (Spark's same-RDD guard),
+        stops once enough bytes are freed, ``None`` when even evicting
+        everything eligible falls short.
         """
         victims: list["Block"] = []
         freed = 0.0
@@ -550,6 +550,48 @@ class VictimIndex:
             victims.append(block)
             freed += block.size_bytes
         if freed < needed_bytes:
+            return None, scanned
+        return victims, scanned
+
+    def select_tiered(
+        self,
+        needed_bytes: float,
+        incoming_rdd_id: int,
+        tier_of: Callable[["Block"], int | None],
+        tenant: str | None,
+        own_need: float,
+    ) -> tuple[list["Block"] | None, int]:
+        """Quota-mode :meth:`select`: ``(tier, key, seq, block_id)`` order.
+
+        The fairness tier depends on the inserting tenant and on live
+        usage, so it cannot live in the stored key; one walk of the live
+        order, stable-partitioned by ``tier_of`` (``None`` = protected),
+        yields the tiered order without a sort.  Besides ``needed_bytes``
+        overall, ``own_need`` bytes of ``tenant``'s own blocks must go.
+        """
+        tiers: tuple[list["Block"], ...] = ([], [], [])
+        scanned = 0
+        for entry in self._entries:
+            block_id = entry[2]
+            if self._map.get(block_id) != entry:
+                continue  # tombstone or re-keyed
+            block = self._blocks[block_id]
+            if block.rdd_id == incoming_rdd_id:
+                continue
+            scanned += 1
+            tier = tier_of(block)
+            if tier is not None:
+                tiers[tier].append(block)
+        victims: list["Block"] = []
+        freed = own_freed = 0.0
+        for block in tiers[0] + tiers[1] + tiers[2]:
+            if freed >= needed_bytes and own_freed >= own_need:
+                break
+            victims.append(block)
+            freed += block.size_bytes
+            if block.tenant == tenant:
+                own_freed += block.size_bytes
+        if freed < needed_bytes or own_freed < own_need:
             return None, scanned
         return victims, scanned
 

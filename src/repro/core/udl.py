@@ -61,10 +61,9 @@ class BlazeCacheManager(CacheManager):
         self.cost_model: CostModel | None = None
         #: dataset ids produced so far (first-touch-aware closure pruning)
         self._materialized_ids: set[int] = set()
-        #: incremental decision state; ``None`` runs the naive hot path
+        #: epoch-cached costs + per-executor victim order (bound in attach)
         self._cache: DecisionCostCache | None = None
         self._indexes: dict[int, VictimIndex] = {}
-        self._index_sensitivity = "version"
         self.name = self._variant_name()
 
     def _variant_name(self) -> str:
@@ -90,30 +89,24 @@ class BlazeCacheManager(CacheManager):
         self.cost_model = CostModel(self.lineage, cluster.config.disk, remote)
         if self.profile is not None:
             self.profile.seed(self.lineage)
-        if self.config.incremental_decisions:
-            cfg = self.config
-            # Cached cost values are only read when admission compares
-            # values or evictions weigh spill against recompute.
-            consulted = cfg.admission_enabled or (
-                cfg.disk_enabled and cfg.recompute_option_enabled
-            )
-            self._cache = DecisionCostCache(
-                self.lineage, self.cost_model, self._future_state_of,
-                cluster.metrics, consulted=consulted,
-            )
-            if cfg.cost_aware_enabled and cfg.admission_enabled:
-                sensitivity = "version"  # density key reads future refs
-            elif cfg.cost_aware_enabled:
-                sensitivity = "touch"  # cost_d keys off observations only
-            else:
-                sensitivity = "marks"  # LRU keys move on hits alone
-            self._index_sensitivity = sensitivity
-            key_fn = self._index_key_fn()
-            for executor in cluster.executors:
-                index = VictimIndex(key_fn, cluster.metrics, sensitivity)
-                self._indexes[executor.executor_id] = index
-                self._cache.indexes[executor.executor_id] = index
-                executor.bm.add_residency_listener(self)
+        cfg = self.config
+        # Cached cost values are only read when admission compares values
+        # or evictions weigh spill against recompute.
+        consulted = cfg.admission_enabled or (
+            cfg.disk_enabled and cfg.recompute_option_enabled
+        )
+        self._cache = DecisionCostCache(
+            self.lineage, self.cost_model, self._future_state_of,
+            cluster.metrics, consulted=consulted,
+        )
+        if cfg.cost_aware_enabled and cfg.admission_enabled:
+            self._index_sensitivity = "version"  # density key reads future refs
+        elif cfg.cost_aware_enabled:
+            self._index_sensitivity = "touch"  # cost_d keys off observations only
+        else:
+            self._index_sensitivity = "marks"  # LRU keys move on hits alone
+        for executor in cluster.executors:
+            self.on_executor_added(executor)
 
     def detach(self) -> None:
         if self.cluster is not None:
@@ -129,9 +122,10 @@ class BlazeCacheManager(CacheManager):
     def _index_key_fn(self):
         """The victim ordering for this variant, as ``block -> (key, stable)``.
 
-        Mirrors the three ``order_key`` branches of :meth:`_select_victims`
-        exactly; the stability bit says whether the key may drift as other
-        partitions are observed (regression-derived estimates).
+        Full Blaze orders by weighted potential cost per byte, +CostAware by
+        potential disk access cost (§7.3), +AutoCache by recency (LRU).  The
+        stability bit says whether the key may drift as other partitions
+        are observed (regression-derived estimates).
         """
         if self.config.cost_aware_enabled:
             if self.config.admission_enabled:
@@ -170,8 +164,7 @@ class BlazeCacheManager(CacheManager):
         # removed, costs touched); what remains is memo hygiene for a
         # partition that can never revalidate its cached entries.
         super().on_block_lost(executor, block)
-        if self._cache is not None:
-            self._cache.forget(block.rdd_id, block.split)
+        self._cache.forget(block.rdd_id, block.split)
 
     def predicted_recovery_cost(
         self, rdd_id: int, split: int, state: str
@@ -195,10 +188,8 @@ class BlazeCacheManager(CacheManager):
     def on_memory_hit(self, executor: "Executor", block: Block, tm: TaskMetrics) -> None:
         # Only the LRU ordering (+AutoCache) keys on access recency; the
         # driver touches the block before this hook fires.
-        if self._cache is not None and not self.config.cost_aware_enabled:
-            index = self._indexes.get(executor.executor_id)
-            if index is not None:
-                index.mark_block(block.block_id)
+        if not self.config.cost_aware_enabled:
+            self._indexes[executor.executor_id].mark_block(block.block_id)
 
     def on_remote_hit(self, executor: "Executor", block: Block, tm: TaskMetrics) -> None:
         """A remote-tier read promotes into free memory (never displaces).
@@ -224,7 +215,7 @@ class BlazeCacheManager(CacheManager):
         Parked executors re-activating keep their index and listener from
         the original attach; only genuinely new executors need wiring.
         """
-        if self._cache is None or executor.executor_id in self._indexes:
+        if executor.executor_id in self._indexes:
             return
         index = VictimIndex(
             self._index_key_fn(), self.cluster.metrics, self._index_sensitivity
@@ -240,11 +231,9 @@ class BlazeCacheManager(CacheManager):
         ``_state_of`` and therefore every memoized cost, but moves without
         bumping the lineage version or any dirty counter — so cached
         entries cannot be revalidated.  A fresh cost cache plus a forced
-        index rebuild keeps the incremental path bit-identical to a naive
-        recomputation under the new fleet.
+        index rebuild keeps every cached read equal to a fresh computation
+        under the new fleet.
         """
-        if self._cache is None:
-            return
         old = self._cache
         self._cache = DecisionCostCache(
             self.lineage, self.cost_model, self._future_state_of,
@@ -377,11 +366,10 @@ class BlazeCacheManager(CacheManager):
         size_weight: float,
     ) -> None:
         size_bytes = rdd.size_model.bytes_for(size_weight)
-        if self._cache is not None:
-            # Must run before the observation lands: it compares the new
-            # values against the currently recorded ones to decide whether
-            # any cached cost could change.
-            self._cache.note_observation(rdd.rdd_id, split, size_bytes, compute_seconds)
+        # Must run before the observation lands: it compares the new
+        # values against the currently recorded ones to decide whether
+        # any cached cost could change.
+        self._cache.note_observation(rdd.rdd_id, split, size_bytes, compute_seconds)
         self.lineage.observe_partition(
             rdd.rdd_id,
             split,
@@ -449,37 +437,24 @@ class BlazeCacheManager(CacheManager):
     # ------------------------------------------------------------------
     # Decision audit capture (``repro.obs``): pure readers of the same
     # pre-eviction snapshot every decision above consulted.  Cost probes
-    # go through the epoch caches when incremental (reads are bit-equal
-    # to fresh computes — the PR3 invariant) and through a *private*
-    # fresh memo otherwise, never the decision's shared memo, so later
-    # ``_evict`` computations see exactly the memo state they would have
-    # seen with auditing off.
+    # go through the epoch caches: reads may populate memo entries, but
+    # are bit-equal to fresh computes and never change a decision.
     # ------------------------------------------------------------------
-    def _audit_costs(self, rdd_id: int, split: int) -> tuple[float, float, float]:
-        if self._cache is not None:
-            return self._cache.explain_costs(rdd_id, split)
-        memo: dict = {}
-        cost_d = self.cost_model.cost_d(rdd_id, split, memo)
-        cost_r = self.cost_model.cost_r(rdd_id, split, self._future_state_of, memo)
-        return cost_d, cost_r, min(cost_d, cost_r)
-
     def _audit_candidates(
-        self,
-        victims: list[Block],
-        tiers: dict[BlockId, int] | None = None,
+        self, victims: list[Block], tier_of=None
     ) -> tuple[CandidateTerm, ...]:
         cost_aware = self.config.cost_aware_enabled
         out = []
         for v in victims:
             cost_d = cost_r = pc = None
             if cost_aware:
-                cost_d, cost_r, pc = self._audit_costs(v.rdd_id, v.split)
+                cost_d, cost_r, pc = self._cache.explain_costs(v.rdd_id, v.split)
             out.append(
                 CandidateTerm(
                     rdd_id=v.rdd_id,
                     split=v.split,
                     size_bytes=v.size_bytes,
-                    tier=None if tiers is None else tiers.get(v.block_id),
+                    tier=None if tier_of is None else tier_of(v),
                     cost_d=cost_d,
                     cost_r=cost_r,
                     potential_cost=pc,
@@ -524,12 +499,6 @@ class BlazeCacheManager(CacheManager):
             ),
             candidates=tuple(candidates),
         )
-
-    @staticmethod
-    def _off_memory_outcome(from_disk: bool, placed: bool) -> str:
-        # A from-disk candidate denied memory simply stays on disk; a
-        # fresh partition lands there only if ``_maybe_write_to_disk`` bit.
-        return "disk" if (from_disk or placed) else "drop"
 
     def _ilp_observer(self, executor_id: int, job_id: int, round_idx: int):
         def observer(items, solution) -> None:
@@ -576,31 +545,25 @@ class BlazeCacheManager(CacheManager):
         tm: TaskMetrics,
         from_disk: bool,
     ) -> None:
-        tenancy = self.cluster.tenancy
-        quota_mode = tenancy is not None and tenancy.quotas_active
-        # Quota enforcement needs the tenancy-aware victim tiering of the
-        # naive path; the victim index has no quota dimension.  Never
-        # reached on legacy single-tenant runs (no quotas configured).
-        if self._cache is not None and not quota_mode:
-            self._admit_incremental(executor, block, refs, tm, from_disk)
-            return
+        """The unified admission decision (§4.1 / §4.2).
+
+        Selection, the admission comparison and every victim's eviction
+        state all read one *pre-eviction* snapshot, so every value is
+        resolved before the first eviction mutates residency.
+        """
         bm = executor.bm
+        cache = self._cache
         now = self.cluster.clock.now
         audit = self.audit
         if block.size_bytes > bm.memory.capacity_bytes:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="too_big",
-                )
+            self._deny_memory(executor, block, refs, tm, from_disk, "too_big")
             return
 
+        tenancy = self.cluster.tenancy
+        quota_mode = tenancy is not None and tenancy.quotas_active
         needed = block.size_bytes - bm.memory.free_bytes
-        memo: dict = {}
+        # Under quotas free space alone does not admit: the inserter may
+        # first have to displace its own blocks to stay within quota.
         if needed <= 0 and not (
             quota_mode
             and tenancy.would_exceed(self.cluster, tenancy.current_tenant, block.size_bytes)
@@ -613,34 +576,27 @@ class BlazeCacheManager(CacheManager):
                 )
             return
 
-        tiers: dict[BlockId, int] | None = (
-            {} if (audit is not None and quota_mode) else None
-        )
-        victims = self._select_victims(
-            bm, max(needed, 0.0), block.rdd_id, memo, incoming_block=block,
-            tier_out=tiers,
-        )
+        index = self._indexes[executor.executor_id]
+        index.ensure_current(self.lineage.version, cache.touch_count)
+        tier_of = None
+        if quota_mode:
+            tier_of, tenant, own_need = self._quota_tiering(block)
+            victims, scanned = index.select_tiered(
+                max(needed, 0.0), block.rdd_id, tier_of, tenant, own_need
+            )
+        else:
+            victims, scanned = index.select(needed, block.rdd_id)
+        metrics = self.cluster.metrics
+        metrics.victim_candidates_scanned += scanned
+        metrics.victim_selections += 1
         if victims is None:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="no_victims",
-                )
+            self._deny_memory(executor, block, refs, tm, from_disk, "no_victims")
             return
 
         incoming_value = displaced_value = None
         if self.config.admission_enabled:
-            incoming_value = (
-                self.cost_model.potential_cost(
-                    block.rdd_id, block.split, self._future_state_of, memo
-                )
-                * refs
-            )
-            displaced_value = sum(self._block_value(v, memo) for v in victims)
+            incoming_value = cache.potential_cost(block.rdd_id, block.split) * refs
+            displaced_value = sum(cache.block_value(v) for v in victims)
             if displaced_value >= incoming_value:
                 # Keeping the residents saves more: do not cache in memory.
                 if self.tracer.enabled:
@@ -652,125 +608,16 @@ class BlazeCacheManager(CacheManager):
                         incoming_value=incoming_value,
                         displaced_value=displaced_value,
                     )
-                placed = False
-                if not from_disk:
-                    placed = self._maybe_write_to_disk(executor, block, tm)
-                if audit is not None:
-                    self._audit_admission(
-                        executor, block, refs, from_disk=from_disk,
-                        outcome=self._off_memory_outcome(from_disk, placed),
-                        reason="admission",
-                        candidates=self._audit_candidates(victims, tiers),
-                        incoming_value=incoming_value,
-                        displaced_value=displaced_value,
-                    )
-                return
-
-        # Audit cost terms are probed on the pre-eviction snapshot (the
-        # same one every decision above used); the actual per-victim
-        # destinations are captured from the eviction ladder itself.
-        pre = self._audit_candidates(victims, tiers) if audit is not None else ()
-        states = [self._evict(executor, victim, tm, memo) for victim in victims]
-        self._place_in_memory(bm, block, from_disk, now)
-        if audit is not None:
-            self._audit_admission(
-                executor, block, refs, from_disk=from_disk,
-                outcome="memory", reason="displaced",
-                candidates=pre, states=states,
-                incoming_value=incoming_value, displaced_value=displaced_value,
-            )
-
-    def _admit_incremental(
-        self,
-        executor: "Executor",
-        block: Block,
-        refs: int,
-        tm: TaskMetrics,
-        from_disk: bool,
-    ) -> None:
-        """The :meth:`_admit` decision via the epoch caches and victim index.
-
-        Bit-identical to the naive path: the naive admission shares one memo
-        across selection, the admission comparison, and the per-victim
-        eviction-state choice — all computed against the *pre-eviction*
-        snapshot — so every value here is resolved before the first eviction
-        mutates residency.
-        """
-        bm = executor.bm
-        cache = self._cache
-        now = self.cluster.clock.now
-        audit = self.audit
-        if block.size_bytes > bm.memory.capacity_bytes:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="too_big",
+                self._deny_memory(
+                    executor, block, refs, tm, from_disk, "admission",
+                    victims=victims, tier_of=tier_of,
+                    incoming_value=incoming_value, displaced_value=displaced_value,
                 )
-            return
-
-        needed = block.size_bytes - bm.memory.free_bytes
-        if needed <= 0:
-            self._place_in_memory(bm, block, from_disk, now)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome="memory", reason="free_space",
-                )
-            return
-
-        index = self._indexes[executor.executor_id]
-        index.ensure_current(self.lineage.version, cache.touch_count)
-        victims, scanned = index.select(needed, block.rdd_id)
-        metrics = self.cluster.metrics
-        metrics.victim_candidates_scanned += scanned
-        metrics.victim_selections += 1
-        if victims is None:
-            placed = False
-            if not from_disk:
-                placed = self._maybe_write_to_disk(executor, block, tm)
-            if audit is not None:
-                self._audit_admission(
-                    executor, block, refs, from_disk=from_disk,
-                    outcome=self._off_memory_outcome(from_disk, placed),
-                    reason="no_victims",
-                )
-            return
-
-        incoming_value = displaced_value = None
-        if self.config.admission_enabled:
-            incoming_value = cache.potential_cost(block.rdd_id, block.split) * refs
-            displaced_value = sum(cache.block_value(v) for v in victims)
-            if displaced_value >= incoming_value:
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "cache.reject", "cache",
-                        pid=executor_pid(executor.executor_id),
-                        rdd=block.rdd_id, split=block.split,
-                        bytes=block.size_bytes, reason="admission",
-                        incoming_value=incoming_value,
-                        displaced_value=displaced_value,
-                    )
-                placed = False
-                if not from_disk:
-                    placed = self._maybe_write_to_disk(executor, block, tm)
-                if audit is not None:
-                    self._audit_admission(
-                        executor, block, refs, from_disk=from_disk,
-                        outcome=self._off_memory_outcome(from_disk, placed),
-                        reason="admission",
-                        candidates=self._audit_candidates(victims),
-                        incoming_value=incoming_value,
-                        displaced_value=displaced_value,
-                    )
                 return
 
         # Resolve every victim's destination on the pre-eviction snapshot,
         # then execute (each eviction invalidates the caches behind us).
-        pre = self._audit_candidates(victims) if audit is not None else ()
+        pre = self._audit_candidates(victims, tier_of) if audit is not None else ()
         plans = [self._eviction_plan(victim) for victim in victims]
         states = [
             self._execute_eviction(bm, victim, plan, tm)
@@ -785,8 +632,62 @@ class BlazeCacheManager(CacheManager):
                 incoming_value=incoming_value, displaced_value=displaced_value,
             )
 
+    def _deny_memory(
+        self, executor: "Executor", block: Block, refs: int, tm: TaskMetrics,
+        from_disk: bool, reason: str, victims=(), tier_of=None, **values,
+    ) -> None:
+        """A candidate denied memory may still be worth a disk write.
+
+        From disk it simply stays there; a fresh partition lands there
+        only if :meth:`_maybe_write_to_disk` bites.  ``victims`` are the
+        residents the admission comparison kept, for the audit log.
+        """
+        placed = from_disk or self._maybe_write_to_disk(executor, block, tm)
+        if self.audit is not None:
+            self._audit_admission(
+                executor, block, refs, from_disk=from_disk,
+                outcome="disk" if placed else "drop", reason=reason,
+                candidates=self._audit_candidates(victims, tier_of), **values,
+            )
+
+    def _quota_tiering(self, block: Block):
+        """Fairness terms of one admission under tenant quotas.
+
+        Returns ``(tier_of, tenant, own_need)``.  Victims go over-quota
+        tenants' blocks first (tier 0), then the inserting tenant's own
+        and ownerless blocks (1), then — only if the inserter stays within
+        its quota — other within-quota tenants' blocks (2; ``None`` means
+        protected).  ``own_need`` bytes of the inserter's own blocks must
+        be displaced to keep it within quota after the insert.  All of it
+        depends on the inserter and on live usage, hence per admission.
+        """
+        tenancy = self.cluster.tenancy
+        tenant = tenancy.current_tenant
+        quota = tenancy.quota_of(tenant)
+        own_need = 0.0
+        over_after = False
+        if quota is not None:
+            usage = tenancy.memory_used_by(self.cluster, tenant)
+            over_after = usage + block.size_bytes > quota
+            own_need = max(0.0, usage + block.size_bytes - quota)
+        over_quota: dict[str, bool] = {}
+
+        def tier_of(b: Block) -> int | None:
+            if b.tenant == tenant or b.tenant is None:
+                return 1
+            over = over_quota.get(b.tenant)
+            if over is None:
+                over = over_quota[b.tenant] = tenancy.is_over_quota(
+                    self.cluster, b.tenant
+                )
+            if over:
+                return 0
+            return None if over_after else 2
+
+        return tier_of, tenant, own_need
+
     def _eviction_plan(self, victim: Block) -> PartitionState:
-        """The victim's destination state — :meth:`_evict`'s ladder, predicted."""
+        """The state a memory victim is cheapest in (§4.2)."""
         if not self.config.disk_enabled:
             return "gone"
         if not self.config.recompute_option_enabled:
@@ -796,6 +697,10 @@ class BlazeCacheManager(CacheManager):
             and self.lineage.knowledge_complete
             and self.lineage.future_refs(victim.rdd_id, inclusive=False) == 0
         ):
+            # No references beyond the currently executing stage: disk
+            # persistence buys nothing after this stage, and any remaining
+            # same-stage readers recover through the (still retained)
+            # current shuffle generation cheaply.  Discard.
             return "gone"
         return self._cache.preferred_state(victim.rdd_id, victim.split)
 
@@ -807,141 +712,6 @@ class BlazeCacheManager(CacheManager):
         else:
             bm.insert_memory(block)
             block.touch(now)
-
-    def _block_value(self, block: Block, memo: dict) -> float:
-        """Weighted potential recovery cost of a cached block."""
-        refs = self.lineage.future_refs(block.rdd_id, inclusive=True)
-        if refs <= 0:
-            return 0.0
-        return (
-            self.cost_model.potential_cost(
-                block.rdd_id, block.split, self._future_state_of, memo
-            )
-            * refs
-        )
-
-    def _select_victims(
-        self,
-        bm,
-        needed_bytes: float,
-        incoming_rdd_id: int,
-        memo: dict,
-        incoming_block: Block | None = None,
-        tier_out: dict | None = None,
-    ) -> list[Block] | None:
-        """Cheapest-first victim selection (Spark's same-RDD guard kept).
-
-        Under active tenant quotas (``incoming_block`` given, quota mode)
-        the cost order is tiered for fairness: over-quota tenants' blocks
-        first, then the inserting tenant's own (and ownerless) blocks,
-        then — only if the inserter stays within its quota — other
-        within-quota tenants' blocks; and enough of the inserter's own
-        bytes must be displaced to keep it within quota after the insert.
-
-        ``tier_out``, when given, collects each eligible block's quota
-        tier keyed by block id (audit-log bookkeeping; selection is
-        unaffected).
-        """
-        eligible = [b for b in bm.memory.blocks() if b.rdd_id != incoming_rdd_id]
-        if self.config.cost_aware_enabled:
-            if self.config.admission_enabled:
-                # Full Blaze: weighted potential cost per byte.
-                def order_key(b: Block) -> float:
-                    return self._block_value(b, memo) / b.size_bytes
-            else:
-                # +CostAware: smallest potential disk access cost (§7.3).
-                def order_key(b: Block) -> float:
-                    return self.cost_model.cost_d(b.rdd_id, b.split, memo)
-        else:
-            # +AutoCache: history-based LRU, costs ignored.
-            def order_key(b: Block) -> float:
-                return b.last_access
-
-        tenancy = self.cluster.tenancy
-        quota_mode = (
-            incoming_block is not None
-            and tenancy is not None
-            and tenancy.quotas_active
-        )
-        quota_need = 0.0
-        tenant = None
-        if quota_mode:
-            tenant = tenancy.current_tenant
-            quota = tenancy.quota_of(tenant)
-            usage = tenancy.memory_used_by(self.cluster, tenant)
-            over_after = quota is not None and usage + incoming_block.size_bytes > quota
-            if quota is not None:
-                quota_need = max(0.0, usage + incoming_block.size_bytes - quota)
-
-            def tier_of(b: Block) -> int | None:
-                if b.tenant == tenant or b.tenant is None:
-                    return 1
-                if tenancy.is_over_quota(self.cluster, b.tenant):
-                    return 0
-                return None if over_after else 2
-
-            tiered = []
-            for b in eligible:
-                tier = tier_of(b)
-                if tier is not None:
-                    tiered.append((tier, b))
-                    if tier_out is not None:
-                        tier_out[b.block_id] = tier
-            tiered.sort(
-                key=lambda tb: (
-                    tb[0], order_key(tb[1]),
-                    tb[1].policy_data.get("seq", 0), tb[1].block_id,
-                )
-            )
-            eligible = [b for _tier, b in tiered]
-        else:
-            eligible.sort(
-                key=lambda b: (order_key(b), b.policy_data.get("seq", 0), b.block_id)
-            )
-        self.cluster.metrics.victim_candidates_scanned += len(eligible)
-        self.cluster.metrics.victim_selections += 1
-        victims: list[Block] = []
-        freed = own_freed = 0.0
-        for candidate in eligible:
-            if freed >= needed_bytes and own_freed >= quota_need:
-                break
-            victims.append(candidate)
-            freed += candidate.size_bytes
-            if quota_mode and candidate.tenant == tenant:
-                own_freed += candidate.size_bytes
-        if freed < needed_bytes or own_freed < quota_need:
-            return None
-        return victims
-
-    def _evict(self, executor: "Executor", victim: Block, tm: TaskMetrics, memo: dict) -> str:
-        """Move a memory victim to its cheapest state (§4.2).
-
-        Returns the state the victim actually landed in (``"disk"`` or
-        ``"gone"``) so the audit log can record destinations from the
-        ladder itself instead of predicting them.
-        """
-        bm = executor.bm
-        if not self.config.disk_enabled:
-            bm.discard(victim.block_id, evicted=True)
-            return "gone"
-        if not self.config.recompute_option_enabled:
-            bm.spill_to_disk(victim.block_id, tm)
-            return "disk"
-        if (
-            self.config.cost_aware_enabled
-            and self.lineage.knowledge_complete
-            and self.lineage.future_refs(victim.rdd_id, inclusive=False) == 0
-        ):
-            # No references beyond the currently executing stage: disk
-            # persistence buys nothing after this stage, and any remaining
-            # same-stage readers recover through the (still retained)
-            # current shuffle generation cheaply.  Discard.
-            bm.discard(victim.block_id, evicted=True)
-            return "gone"
-        state = self.cost_model.preferred_eviction_state(
-            victim.rdd_id, victim.split, self._future_state_of, memo
-        )
-        return self._execute_eviction(bm, victim, state, tm)
 
     def _execute_eviction(
         self, bm, victim: Block, state: PartitionState, tm: TaskMetrics
@@ -972,14 +742,7 @@ class BlazeCacheManager(CacheManager):
         if not (self.config.cost_aware_enabled and self.config.recompute_option_enabled):
             executor.bm.insert_disk(block, tm)
             return True
-        if self._cache is not None:
-            # All call sites run pre-eviction, so the cached values equal
-            # what the naive fresh-memo computation would produce here.
-            state = self._cache.preferred_state(block.rdd_id, block.split)
-        else:
-            state = self.cost_model.preferred_eviction_state(
-                block.rdd_id, block.split, self._future_state_of, {}
-            )
+        state = self._cache.preferred_state(block.rdd_id, block.split)
         if state == "disk":
             executor.bm.insert_disk(block, tm)
             return True

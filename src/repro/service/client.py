@@ -144,10 +144,6 @@ class JobClient:
         return self.service.tracer
 
     @property
-    def fused_execution(self) -> bool:
-        return self.service.fused_execution
-
-    @property
     def fault_injector(self):
         return self.service.fault_injector
 

@@ -117,14 +117,10 @@ class JobService:
         self.config = cluster_config or ClusterConfig()
         self.service_config = service_config
         self.seed = int(seed)
-        #: engine-level kill switch for the fused data plane; defaults to
-        #: the ``BlazeConfig`` default so plain services get the fast plane.
-        self.fused_execution = blaze_config.fused_execution if blaze_config else True
         if tracer is None:
             tracer = InMemoryTracer() if self.config.tracing_enabled else NULL_TRACER
         self.tracer = tracer
         self.cluster = Cluster(self.config, tracer=tracer)
-        self.cluster.shuffle.fast_path = self.fused_execution
         self.cluster.tenancy = TenantRegistry(service_config.tenant_quotas)
         self.cluster.tenancy.cluster = self.cluster
         #: columnar data plane (``repro.storage``): one backend shared by
@@ -183,7 +179,6 @@ class JobService:
                 self.fleet_controller.columnar = self.columnar
         self.driver = Driver(
             self.cluster, cache_manager,
-            fused_execution=self.fused_execution,
             fault_injector=self.fault_injector,
             columnar=self.columnar,
         )

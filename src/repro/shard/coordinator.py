@@ -170,8 +170,6 @@ class ShardCoordinator:
         misclassification is only an oracle miss (local compute), never a
         correctness issue.
         """
-        if self.driver._fusion is None:
-            return False
         if (
             type(rdd) is not MapPartitionsRDD
             or rdd.elem_op is None

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
 from repro.caching.manager import SparkCacheManager
 from repro.caching.storage_level import StorageMode
 from repro.config import ClusterConfig, DiskConfig, GiB, MiB
 from repro.dataflow.context import BlazeContext
+from repro.dataflow.fusion import FusionPlanner
 
 
 def make_cluster_config(
@@ -47,3 +50,53 @@ def ctx() -> BlazeContext:
 def tight_ctx() -> BlazeContext:
     """A context whose memory store forces evictions quickly."""
     return make_ctx(memory_mb=8)
+
+
+@pytest.fixture(scope="session")
+def unfused():
+    """``with unfused(): ...`` runs the engine with no narrow chain fused.
+
+    Stubs ``FusionPlanner.plan_for`` to plan nothing, so every chain takes
+    ``Driver._compute``'s operator-by-operator walk — the runtime fallback
+    the fused plane is compared against.  Session-scoped (it holds no
+    state) so Hypothesis tests may request it.
+    """
+
+    def patch():
+        return mock.patch.object(FusionPlanner, "plan_for", lambda self, rdd: None)
+
+    return patch
+
+
+def reference_select(
+    blocks, key_of, needed_bytes, incoming_rdd_id,
+    tier_of=None, tenant=None, own_need=0.0,
+):
+    """Reference victim selection: filter, full sort, greedy accumulate.
+
+    ``VictimIndex`` must return exactly this sequence.  With ``tier_of``
+    (quota mode) the fairness tier leads the sort key, ``None``-tiered
+    blocks are protected, and ``own_need`` bytes of ``tenant``'s own
+    blocks must be freed besides ``needed_bytes`` overall.
+    """
+    if tier_of is None:
+        def tier_of(_block):
+            return 0
+    eligible = [
+        b for b in blocks
+        if b.rdd_id != incoming_rdd_id and tier_of(b) is not None
+    ]
+    eligible.sort(
+        key=lambda b: (tier_of(b), key_of(b), b.policy_data.get("seq", 0), b.block_id)
+    )
+    victims, freed, own_freed = [], 0.0, 0.0
+    for candidate in eligible:
+        if freed >= needed_bytes and own_freed >= own_need:
+            break
+        victims.append(candidate)
+        freed += candidate.size_bytes
+        if candidate.tenant == tenant:
+            own_freed += candidate.size_bytes
+    if freed < needed_bytes or own_freed < own_need:
+        return None
+    return victims

@@ -258,12 +258,12 @@ def test_crash_mid_task_wastes_attempt_time():
 # Fused pipelines survive mid-chain loss
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("system", ["spark", "blaze_no_profile"])
-def test_fused_chain_survives_mid_chain_loss(system):
+def test_fused_chain_survives_mid_chain_loss(system, unfused):
     """Losing a cached mid-chain block must not let fusion elide it."""
 
-    def run(fused: bool):
+    def run():
         sched = FaultSchedule()
-        ctx = _fault_ctx(sched, system=system, fused_execution=fused)
+        ctx = _fault_ctx(sched, system=system)
         base = ctx.parallelize(list(range(40)), 4)
         mid = base.map(lambda x: x * 2).named("mid")
         mid.cache()
@@ -281,8 +281,9 @@ def test_fused_chain_survives_mid_chain_loss(system):
         ctx.stop()
         return first, second, third, lost
 
-    fused = run(True)
-    unfused = run(False)
-    assert fused == unfused
+    fused = run()
+    with unfused():
+        reference = run()
+    assert fused == reference
     assert fused[0] == fused[1] == fused[2]
     assert fused[3] >= 1

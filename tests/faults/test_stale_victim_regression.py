@@ -1,6 +1,6 @@
 """Regression: block loss must go through the engine's loss primitives.
 
-The incremental decision layer (PR 3) mirrors memory residency in a
+The decision layer mirrors memory residency in a
 per-executor :class:`VictimIndex`, maintained by the block manager's
 residency listener.  Removing a memory block *behind the listener's back*
 (as a naive fault injector would: ``bm.memory.remove(block_id)``) leaves
@@ -30,13 +30,12 @@ from repro.metrics.collector import TaskMetrics
 
 
 def _lru_ctx() -> BlazeContext:
-    """+AutoCache ablation (LRU victim order) with the incremental index on.
+    """+AutoCache ablation (LRU victim order).
 
     One executor, one slot: placement and access order are sequential, so
     partition 0 of the first cached dataset is always the LRU victim.
     """
     bcfg = BlazeConfig(
-        incremental_decisions=True,
         cost_aware_enabled=False,
         recompute_option_enabled=False,
         ilp_enabled=False,
@@ -125,7 +124,6 @@ def test_purge_lost_keeps_admissions_working():
 def test_on_block_lost_forgets_cost_memos():
     """A lost partition's memoized costs are dropped, not served stale."""
     bcfg = BlazeConfig(
-        incremental_decisions=True,
         cost_aware_enabled=True,
         recompute_option_enabled=False,
         ilp_enabled=False,

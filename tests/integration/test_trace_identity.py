@@ -1,18 +1,27 @@
-"""Regression: incremental decisions are bit-identical to the naive path.
+"""The JSONL trace as oracle, plus an online oracle for the decision layer.
 
-The JSONL trace is the oracle — admission rejections embed the compared
-float values (``incoming_value`` / ``displaced_value``), eviction order
-shows up as cache events, and spill-vs-discard choices as distinct event
-names — so byte-equality of same-seed traces with ``incremental_decisions``
-off vs. on proves the epoch cache and victim index changed *nothing* about
-decisions.  The workload is a pressure-heavy PageRank (partitions inflated
-well past the memory store) so the eviction/admission machinery actually
-runs hot.
+Admission rejections embed the compared float values (``incoming_value``
+/ ``displaced_value``), eviction order shows up as cache events, and
+spill-vs-discard choices as distinct event names — so byte-equality of
+same-seed traces proves two runs decided identically.  The workload is a
+pressure-heavy PageRank (partitions inflated well past the memory store)
+so the eviction/admission machinery actually runs hot.
+
+The decision layer itself has one implementation (epoch cost cache +
+victim index), so it is checked *online* instead of against a twin: every
+victim selection, audited cost term and eviction-state choice of a run is
+compared, at the moment it is made, with a from-scratch derivation over
+the same snapshot (``decision_oracle``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager, nullcontext
+from unittest import mock
+
 import pytest
+from conftest import reference_select
 
 from repro.config import (
     BlazeConfig,
@@ -22,10 +31,16 @@ from repro.config import (
     GiB,
     MiB,
     ObsConfig,
+    ServiceConfig,
 )
+from repro.core.decision_cache import DecisionCostCache, VictimIndex
+from repro.core.profiler import run_dependency_extraction
+from repro.core.udl import BlazeCacheManager
 from repro.elastic import ScaleSchedule, ScaleSpec
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultSchedule, FaultSpec
+from repro.service import JobService
+from repro.systems.presets import SYSTEMS, make_system
 from repro.tracing import InMemoryTracer, to_jsonl
 from repro.workloads.base import replace_params
 from repro.workloads.registry import make_workload
@@ -43,7 +58,7 @@ def _pressure_cluster() -> ClusterConfig:
     )
 
 
-def _trace(system: str, incremental: bool = True, fused: bool = True,
+def _trace(system: str,
            workload: str = "pr", schedule: FaultSchedule | None = None,
            obs: bool = False, columnar: bool = True,
            workload_overrides: dict | None = None,
@@ -67,7 +82,6 @@ def _trace(system: str, incremental: bool = True, fused: bool = True,
         seed=SEED,
         cluster_config=_pressure_cluster(),
         blaze_config=BlazeConfig(
-            incremental_decisions=incremental, fused_execution=fused,
             fault_injection=schedule is not None,
             obs=ObsConfig(enabled=obs),
             columnar_backend=columnar,
@@ -89,18 +103,172 @@ def _trace(system: str, incremental: bool = True, fused: bool = True,
     return to_jsonl(tracer.events)
 
 
+# ----------------------------------------------------------------------
+# Online differential oracle for the decision layer
+# ----------------------------------------------------------------------
+def _fresh_order_key(manager: BlazeCacheManager):
+    """The variant's victim ordering from fresh-memo ``CostModel`` calls."""
+    cfg, model, memo = manager.config, manager.cost_model, {}
+    if not cfg.cost_aware_enabled:
+        return lambda b: b.last_access
+    if not cfg.admission_enabled:
+        return lambda b: model.cost_d(b.rdd_id, b.split, memo)
+
+    def density(b):
+        refs = manager.lineage.future_refs(b.rdd_id, inclusive=True)
+        if refs <= 0:
+            return 0.0
+        cost = model.potential_cost(b.rdd_id, b.split, manager._future_state_of, memo)
+        return cost * refs / b.size_bytes
+
+    return density
+
+
+@contextmanager
+def decision_oracle():
+    """Check every cached decision read against a from-scratch derivation.
+
+    Yields a counter of the checks made, so callers can assert the run
+    exercised each seam.
+    """
+    checks: Counter = Counter()
+    admitting: list = []  # (manager, block manager) of the running _admit
+    admit = BlazeCacheManager._admit
+    audit_candidates = BlazeCacheManager._audit_candidates
+    preferred_state = DecisionCostCache.preferred_state
+
+    def checked_admit(self, executor, *args, **kwargs):
+        admitting.append((self, executor.bm))
+        try:
+            return admit(self, executor, *args, **kwargs)
+        finally:
+            admitting.pop()
+
+    def checked_select(select):
+        def wrapper(index, needed_bytes, incoming_rdd_id, *quota_terms):
+            manager, bm = admitting[-1]
+            victims, scanned = select(index, needed_bytes, incoming_rdd_id, *quota_terms)
+            want = reference_select(
+                bm.memory.blocks(), _fresh_order_key(manager),
+                needed_bytes, incoming_rdd_id, *quota_terms,
+            )
+            ids = None if victims is None else [v.block_id for v in victims]
+            assert ids == (None if want is None else [v.block_id for v in want])
+            checks["tiered_selections" if quota_terms else "selections"] += 1
+            if quota_terms and victims and len({quota_terms[0](v) for v in victims}) > 1:
+                checks["selections_across_tiers"] += 1
+            return victims, scanned
+        return wrapper
+
+    def checked_audit_candidates(self, victims, tier_of=None):
+        terms = audit_candidates(self, victims, tier_of)
+        for term in terms:
+            if term.cost_d is None:
+                continue
+            cost_d = self.cost_model.cost_d(term.rdd_id, term.split, {})
+            cost_r = self.cost_model.cost_r(
+                term.rdd_id, term.split, self._future_state_of, {}
+            )
+            assert (term.cost_d, term.cost_r) == (cost_d, cost_r)
+            assert term.potential_cost == min(cost_d, cost_r)
+            checks["audited_costs"] += 1
+        return terms
+
+    def checked_preferred_state(self, rdd_id, split):
+        state = preferred_state(self, rdd_id, split)
+        assert state == self.cost_model.preferred_eviction_state(
+            rdd_id, split, self.state_fn, {}
+        )
+        checks["eviction_states"] += 1
+        return state
+
+    with (
+        mock.patch.object(BlazeCacheManager, "_admit", checked_admit),
+        mock.patch.object(VictimIndex, "select", checked_select(VictimIndex.select)),
+        mock.patch.object(
+            VictimIndex, "select_tiered", checked_select(VictimIndex.select_tiered)
+        ),
+        mock.patch.object(
+            BlazeCacheManager, "_audit_candidates", checked_audit_candidates
+        ),
+        mock.patch.object(DecisionCostCache, "preferred_state", checked_preferred_state),
+    ):
+        yield checks
+
+
 @pytest.mark.parametrize("system", ["blaze", "autocache", "costaware"])
-def test_incremental_trace_is_byte_identical(system):
-    assert _trace(system, incremental=False) == _trace(system, incremental=True)
+def test_decisions_match_fresh_derivation(system):
+    with decision_oracle() as checks:
+        checked = _trace(system, obs=True)
+    assert checks["selections"] > 0
+    if system != "autocache":
+        assert checks["audited_costs"] > 0
+    if system == "blaze":
+        assert checks["eviction_states"] > 0
+    assert checked == _trace(system), "the oracle is a pure reader"
 
 
-def test_same_seed_incremental_runs_are_deterministic():
-    assert _trace("blaze", incremental=True) == _trace("blaze", incremental=True)
+def _quota_service_run() -> tuple[str, Counter]:
+    """Three tenants' PageRanks interleaved on one quota-capped fleet.
+
+    Returns the trace and how many audited victims fell in each fairness
+    tier; memory and quotas are sized so that executors hold several
+    tenants' blocks at once and all three tiers get evicted from.
+    """
+    wl = replace_params(make_workload("pr", "tiny"), num_partitions=24)
+    bcfg = BlazeConfig(obs=ObsConfig(enabled=True))
+    tracer = InMemoryTracer()
+    profile = run_dependency_extraction(
+        wl.profiling_run_fn(bcfg.profiling_sample_fraction), bcfg,
+        seed=SEED, tracer=tracer,
+    )
+    service = JobService(
+        ClusterConfig(
+            num_executors=2, slots_per_executor=2,
+            memory_store_bytes=48 * MiB,
+            disk=DiskConfig(capacity_bytes=5 * GiB),
+        ),
+        make_system("blaze").build(profile=profile, blaze_config=bcfg),
+        seed=SEED, tracer=tracer, blaze_config=bcfg,
+        service_config=ServiceConfig(
+            tenant_quotas={"a": 40 * MiB, "b": 10 * MiB, "c": 80 * MiB},
+            dedup_enabled=False, inter_job_policy="fair",
+        ),
+    )
+    with service:
+        for i, tenant in enumerate("abc"):
+            service.submit(
+                lambda client: wl.run(client).final_value,
+                tenant=tenant, arrival_time=0.01 * i, seed=SEED + i,
+            )
+        handles = service.run()
+        for handle in handles:
+            handle.result()
+        tiers = Counter(
+            victim.tier
+            for entry in handles[0].report().audit_entries if entry.kind != "ilp"
+            for victim in entry.victims
+        )
+    return to_jsonl(tracer.events), tiers
 
 
-# The same oracle proves the fused data plane (PR 4) changes nothing the
-# decision layers see: every preset family must produce the byte-exact
-# trace with the fusion kill switch on vs. off under memory pressure.
+def test_quota_service_decisions_match_fresh_derivation():
+    with decision_oracle() as checks:
+        checked, tiers = _quota_service_run()
+    assert checks["tiered_selections"] > 0 and checks["audited_costs"] > 0
+    assert checks["selections_across_tiers"] > 0, "tier order must matter"
+    assert set(tiers) == {0, 1, 2}, "every fairness tier must be evicted from"
+    assert checked == _quota_service_run()[0]
+
+
+def test_same_seed_runs_are_deterministic():
+    assert _trace("blaze") == _trace("blaze")
+
+
+# The fused data plane (PR 4) changes nothing the decision layers see:
+# every preset family must produce the byte-exact trace whether narrow
+# chains fuse or take the operator-by-operator fallback (the ``unfused``
+# fixture) under memory pressure.
 @pytest.mark.parametrize(
     "system",
     [
@@ -112,8 +280,10 @@ def test_same_seed_incremental_runs_are_deterministic():
         "spark_gdwheel",
     ],
 )
-def test_fused_trace_is_byte_identical(system):
-    assert _trace(system, fused=False) == _trace(system, fused=True)
+def test_fused_trace_is_byte_identical(system, unfused):
+    with unfused():
+        reference = _trace(system)
+    assert reference == _trace(system)
 
 
 # Determinism extends to faulted runs (PR 5): the same seed plus the same
@@ -134,9 +304,10 @@ def _fault_schedule() -> FaultSchedule:
 
 @pytest.mark.parametrize("system", ["blaze", "costaware", "spark_mem_disk", "spark_lrc"])
 @pytest.mark.parametrize("fused", [False, True])
-def test_faulted_trace_is_deterministic_across_repeats(system, fused):
-    first = _trace(system, fused=fused, schedule=_fault_schedule())
-    second = _trace(system, fused=fused, schedule=_fault_schedule())
+def test_faulted_trace_is_deterministic_across_repeats(system, fused, unfused):
+    with nullcontext() if fused else unfused():
+        first = _trace(system, schedule=_fault_schedule())
+        second = _trace(system, schedule=_fault_schedule())
     assert first == second
 
 
@@ -144,9 +315,6 @@ def test_faulted_trace_is_deterministic_across_repeats(system, fused):
 # log, the occupancy sampler, and the explainability surfaces may never
 # perturb a decision or the clock.  Every preset must emit the byte-exact
 # trace with ``obs.enabled`` on vs. off under the same pressure workload.
-from repro.systems.presets import SYSTEMS  # noqa: E402
-
-
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
 def test_obs_trace_is_byte_identical(system):
     assert _trace(system, obs=False) == _trace(system, obs=True)
@@ -202,10 +370,9 @@ def test_sharded_trace_is_byte_identical(system):
 
 
 @pytest.mark.parametrize("system", ["blaze", "costaware", "spark_mem_disk"])
-def test_sharded_unfused_trace_is_byte_identical(system):
-    assert _trace(system, fused=False, sharded=False) == _trace(
-        system, fused=False, sharded=True
-    )
+def test_sharded_unfused_trace_is_byte_identical(system, unfused):
+    with unfused():
+        assert _trace(system, sharded=False) == _trace(system, sharded=True)
 
 
 @pytest.mark.parametrize("system", ["blaze", "costaware", "spark_mem_disk", "spark_lrc"])

@@ -1,12 +1,14 @@
-"""Property tests: the incremental decision structures match their naive twins.
+"""Property tests: the decision structures match a from-scratch derivation.
 
-The victim index must return the *exact* victim sequence the naive
-filter-and-sort produces for every ordering mode (value density, cost_d,
-LRU) under arbitrary add/remove/re-key interleavings, and the epoch cost
-cache must serve hits only while its invalidation contract says the
-cached value is still current.
+The victim index must return the *exact* victim sequence the reference
+filter-and-sort (``conftest.reference_select``) produces for every
+ordering mode (value density, cost_d, LRU) under arbitrary
+add/remove/re-key interleavings — with and without the quota fairness
+tier — and the epoch cost cache must serve hits only while its
+invalidation contract says the cached value is still current.
 """
 
+from conftest import reference_select
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.blocks import Block
@@ -17,28 +19,18 @@ from repro.core.decision_cache import DecisionCostCache, VictimIndex
 
 
 # ----------------------------------------------------------------------
-# Victim index vs. the naive sort
+# Victim index vs. the reference sort
 # ----------------------------------------------------------------------
-def _make_block(rdd_id: int, split: int, size: float, seq: int) -> Block:
+def _make_block(
+    rdd_id: int, split: int, size: float, seq: int, tenant: str | None = None
+) -> Block:
     return Block(
         block_id=(rdd_id, split),
         data=[],
         size_bytes=size,
         policy_data={"seq": seq},
+        tenant=tenant,
     )
-
-
-def _naive_select(blocks, key_of, needed_bytes, incoming_rdd_id):
-    """The reference: filter, full sort, greedy accumulate (udl naive path)."""
-    eligible = [b for b in blocks.values() if b.rdd_id != incoming_rdd_id]
-    eligible.sort(key=lambda b: (key_of(b), b.policy_data.get("seq", 0), b.block_id))
-    victims, freed = [], 0.0
-    for candidate in eligible:
-        if freed >= needed_bytes:
-            break
-        victims.append(candidate)
-        freed += candidate.size_bytes
-    return victims if freed >= needed_bytes else None
 
 
 # Each op is (kind, block_slot, payload); slots address a small universe of
@@ -55,7 +47,7 @@ ops_strategy = st.lists(
 
 
 def _run_mode(mode: str, ops) -> None:
-    """Drive index + naive reference through one op sequence, comparing
+    """Drive index + reference through one op sequence, comparing
     every selection.  Key semantics per mode:
 
     - ``blaze``:     key = value / size (value mutable, stability varies)
@@ -121,12 +113,14 @@ def _run_mode(mode: str, ops) -> None:
             needed = payload + 1.0
             index.ensure_current(version, touch_count)
             got, _scanned = index.select(needed, incoming_rdd_id=slot % 4)
-            want = _naive_select(live, lambda b: key_fn(b)[0], needed, slot % 4)
+            want = reference_select(
+                live.values(), lambda b: key_fn(b)[0], needed, slot % 4
+            )
             assert got == want, (mode, kind, slot, payload)
 
     index.ensure_current(version, touch_count)
     got, _ = index.select(5.0, incoming_rdd_id=-1)
-    want = _naive_select(live, lambda b: key_fn(b)[0], 5.0, -1)
+    want = reference_select(live.values(), lambda b: key_fn(b)[0], 5.0, -1)
     assert got == want
 
 
@@ -146,6 +140,64 @@ def test_index_matches_naive_costaware_ordering(ops):
 @given(ops=ops_strategy)
 def test_index_matches_naive_lru_ordering(ops):
     _run_mode("autocache", ops)
+
+
+# Quota mode: the fairness tier leads the order but cannot live in the
+# stored key (it depends on the inserter and on live usage), so the index
+# partitions its live walk per admission.  Keys come from a small pool so
+# ties fall through to (seq, block_id); removals and re-keys leave
+# tombstones the walk must skip.
+@settings(max_examples=200, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),  # order key (ties likely)
+            st.floats(min_value=1.0, max_value=40.0),  # size
+            st.sampled_from([None, "a", "b", "c"]),  # owning tenant
+        ),
+        min_size=0,
+        max_size=12,
+    ),
+    churn=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=11), st.integers(0, 4)),
+        max_size=6,
+    ),
+    other_tiers=st.tuples(*[st.sampled_from([0, 2, None])] * 2),
+    needed=st.floats(min_value=0.0, max_value=120.0),
+    own_need=st.floats(min_value=0.0, max_value=60.0),
+    incoming_rdd_id=st.integers(min_value=0, max_value=3),
+)
+def test_tiered_walk_matches_reference_with_tier_key(
+    specs, churn, other_tiers, needed, own_need, incoming_rdd_id
+):
+    keys: dict = {}
+    index = VictimIndex(lambda b: (keys[b.block_id], True))
+    live: dict = {}
+    for slot, (key, size, tenant) in enumerate(specs):
+        block = _make_block(slot % 4, slot // 4, size, seq=slot, tenant=tenant)
+        keys[block.block_id] = float(key)
+        live[block.block_id] = block
+        index.add(block)
+    index.ensure_current(0, 0)
+    for touch, (slot, new_key) in enumerate(churn, start=1):
+        bid = (slot % 4, slot // 4)
+        if bid not in live:
+            continue
+        if new_key == 0:
+            index.remove(live.pop(bid).block_id)
+        else:
+            keys[bid] = float(new_key)
+            index.mark_block(bid)
+        index.ensure_current(0, touch)
+
+    tiers = {"a": 1, None: 1, "b": other_tiers[0], "c": other_tiers[1]}
+    terms = (lambda b: tiers[b.tenant], "a", own_need)
+    got, scanned = index.select_tiered(needed, incoming_rdd_id, *terms)
+    want = reference_select(
+        live.values(), lambda b: keys[b.block_id], needed, incoming_rdd_id, *terms
+    )
+    assert got == want
+    assert scanned == sum(b.rdd_id != incoming_rdd_id for b in live.values())
 
 
 # ----------------------------------------------------------------------

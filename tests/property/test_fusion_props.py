@@ -2,7 +2,8 @@
 
 Randomized narrow-op programs (maps, filters, flat_maps, with random cache
 annotations and random branch points creating extra consumers) run twice —
-``fused_execution`` off and on — over the same seed.  The fused run must
+under the ``unfused`` fixture (no chain ever fuses: the operator-by-operator
+runtime fallback) and plainly — over the same seed.  The fused run must
 be indistinguishable from the unfused oracle in everything the engine
 exposes: per-partition element lists (order included), the full
 :class:`TaskMetrics` ledger, eviction counts, and the byte-exact JSONL
@@ -45,9 +46,9 @@ def _manager(system: str, bcfg: BlazeConfig):
     return make_system(system).build(profile=None, blaze_config=bcfg)
 
 
-def _run_program(system, steps, data, width, seed, fused):
+def _run_program(system, steps, data, width, seed):
     """Build the random DAG, run its actions twice, snapshot observables."""
-    bcfg = BlazeConfig(fused_execution=fused)
+    bcfg = BlazeConfig()
     tracer = InMemoryTracer()
     ctx = BlazeContext(
         ClusterConfig(
@@ -105,20 +106,21 @@ def _run_program(system, steps, data, width, seed, fused):
 
 @settings(max_examples=40, deadline=None)
 @given(system=_systems, steps=_steps, data=_data, width=_widths, seed=_seeds)
-def test_fused_matches_unfused_oracle(system, steps, data, width, seed):
-    off = _run_program(system, steps, data, width, seed, fused=False)
-    on = _run_program(system, steps, data, width, seed, fused=True)
+def test_fused_matches_unfused_oracle(unfused, system, steps, data, width, seed):
+    with unfused():
+        off = _run_program(system, steps, data, width, seed)
+    on = _run_program(system, steps, data, width, seed)
     assert on["partitions"] == off["partitions"]
     assert on["error"] == off["error"]
     assert on["metrics"] == off["metrics"]
     assert on["evictions"] == off["evictions"]
     assert on["trace"] == off["trace"]
-    assert off["pipelined"] == 0  # the kill switch really kills the layer
+    assert off["pipelined"] == 0  # the fixture really forces the fallback
 
 
 def test_fusion_actually_fires():
     """Guard against the property passing vacuously: a plain narrow chain
     on the fused engine must pipeline at least one partition."""
     steps = [("map", 1), ("map", 2), ("filter", 3)]
-    on = _run_program("spark", steps, list(range(30)), 3, 0, fused=True)
+    on = _run_program("spark", steps, list(range(30)), 3, 0)
     assert on["pipelined"] > 0
