@@ -1,11 +1,10 @@
-"""Engine benchmarks: fault-recovery (PR 5), multi-tenant job-service
-(PR 6), observability (PR 7), columnar-backend (PR 8), sharded-engine
-(PR 9) and elastic-fleet (PR 10) hot paths.  (The decision layer and the
-fused data plane have one implementation each; their cells are
-``pr_pressure`` and ``chain_kernels`` of the repository benchmark,
-``bench/``.)
+"""Engine benchmarks: fault-recovery (PR 5), observability (PR 7),
+columnar-backend (PR 8), sharded-engine (PR 9) and elastic-fleet (PR 10)
+hot paths.  (The decision layer, the fused data plane and the
+multi-tenant job service are measured by the repository benchmark,
+``bench/``: ``pr_pressure``, ``chain_kernels`` and ``svc_stream``.)
 
-Six suites, one script:
+Five suites, one script:
 
 - **faults** — each cell runs clean, then again under a seeded
   :class:`FaultSchedule` spanning 80% of the clean run's virtual
@@ -13,15 +12,6 @@ Six suites, one script:
   ``converged`` flag (faulted final value == clean final value), so the
   recovery machinery's wall-clock overhead and correctness ride the same
   JSON as the other engine numbers;
-- **service** — a seeded multi-tenant application stream (Poisson
-  arrivals, three tenants, fair-share inter-job policy) driven through
-  :class:`repro.service.JobService` against each preset.  Every cell
-  runs the stream twice and asserts the merged JSONL traces are
-  byte-identical (``deterministic``); because the tenants run
-  structurally identical applications, cross-application lineage dedup
-  shares their cached blocks, measured as ``gids_deduped`` /
-  ``shared_hit_bytes`` alongside the cache hit ratio and p50/p99 per-job
-  latency;
 - **obs** — the decision-bound pressure PageRank cell run with
   ``obs.enabled`` off then on.  The observability layer is a pure
   reader (decision audit log, occupancy sampler), so the cell reports
@@ -87,8 +77,7 @@ per-cell high-water mark; ``--smoke`` runs a shrunken matrix in-process
 (no RSS; the tier-1 suite uses it to assert the counters move the right
 way).  ``--profile`` adds one extra profiled run per measurement and
 stores the top functions by cumulative time under ``profile_top``.
-Output schema (faults and service shown; every suite is one top-level
-key)::
+Output schema (faults shown; every suite is one top-level key)::
 
     {
       "seed": 3,
@@ -103,25 +92,11 @@ key)::
            "speedup": <clean wall / faulted wall>}
         ],
         "min_speedup": ..., "max_speedup": ...
-      },
-      "service": {
-        "workload": ..., "num_apps": ..., "num_tenants": ...,
-        "cells": [
-          {"system": ..., "seed": ...,
-           "apps": ..., "jobs": ..., "wall_seconds": ...,
-           "deterministic": true, "results_identical": true,
-           "hit_ratio": ..., "gids_deduped": ...,
-           "shared_hits": ..., "shared_hit_bytes": ...,
-           "latency_p50": ..., "latency_p99": ...,
-           "makespan_seconds": ...}
-        ],
-        "total_jobs": ..., "all_deterministic": true
       }
     }
 
-The faults suite (PR 5) writes ``BENCH_pr5.json`` by default, the
-service suite (PR 6) ``BENCH_pr6.json``; ``--suite all`` writes
-``BENCH_all.json``.
+The faults suite (PR 5) writes ``BENCH_pr5.json`` by default;
+``--suite all`` writes ``BENCH_all.json``.
 """
 
 from __future__ import annotations
@@ -147,14 +122,10 @@ from repro.config import (
     GiB,
     MiB,
     ObsConfig,
-    ServiceConfig,
 )
-from repro.core.profiler import run_dependency_extraction
 from repro.elastic import ScaleSchedule, ScaleSpec
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultSchedule
-from repro.service import JobService
-from repro.systems.presets import make_system
 from repro.tracing import InMemoryTracer, to_jsonl
 from repro.workloads.base import replace_params
 from repro.workloads.registry import make_workload
@@ -206,13 +177,6 @@ ELASTIC_SYSTEMS = ["blaze", "spark_mem_disk"]
 ELASTIC_WORKLOADS = ["pr"]
 ELASTIC_FLEET_SIZES = [2, 4, 8]
 ELASTIC_BASE_FLEET = 4
-#: service suite (PR 6): the multi-tenant application stream per preset
-SERVICE_SYSTEMS = ["blaze", "spark_mem_disk", "spark_mem_only", "spark_lrc"]
-SERVICE_WORKLOAD = "pr"
-#: 40 apps x (1 + 5 iterations) jobs each = 240 driver jobs per cell
-SERVICE_APPS = 40
-SERVICE_ITERS = 5
-SERVICE_TENANTS = 3
 PROFILE_TOP_N = 12
 
 
@@ -353,120 +317,6 @@ def run_cell(
     if profile:
         measurement["profile_top"] = _profile_top(once)
     return measurement
-
-
-def _percentile(values: list[float], q: float) -> float:
-    ordered = sorted(values)
-    return ordered[int(round(q * (len(ordered) - 1)))] if ordered else 0.0
-
-
-def run_service_cell(
-    system: str, workload: str, num_apps: int, iterations: int | None = None
-) -> dict:
-    """One preset driving the seeded multi-tenant application stream.
-
-    ``num_apps`` structurally identical applications are submitted across
-    :data:`SERVICE_TENANTS` tenants on Poisson arrivals and interleaved
-    at job granularity under the fair-share policy.  The stream runs
-    twice; the merged JSONL traces must match byte for byte
-    (``deterministic``) and every application must converge to the same
-    final value (``results_identical`` — tenants read each other's
-    deduped cached blocks, so this is the cross-tenant correctness
-    oracle).
-    """
-    wl = make_workload(workload, "tiny")
-    if iterations is not None:
-        wl = replace_params(wl, iterations=iterations)
-    spec = make_system(system)
-    bcfg = BlazeConfig()
-    profile = None
-    if spec.needs_profile:
-        # One profile serves every application: dedup maps all tenants'
-        # structurally identical lineages onto the same global ids.
-        profile = run_dependency_extraction(
-            wl.profiling_run_fn(bcfg.profiling_sample_fraction), bcfg, seed=SEED
-        )
-
-    def app_fn(client):
-        return wl.run(client).final_value
-
-    def once() -> tuple[dict, str]:
-        tracer = InMemoryTracer()
-        manager = spec.build(profile=profile, blaze_config=bcfg)
-        service = JobService(
-            smoke_cluster(), manager, seed=SEED, tracer=tracer,
-            service_config=ServiceConfig(
-                inter_job_policy="fair", arrival_seed=SEED,
-                arrival_rate_per_sec=1.0,
-            ),
-        )
-        for i in range(num_apps):
-            service.submit(
-                app_fn, tenant=f"tenant{i % SERVICE_TENANTS}",
-                name=f"{workload}{i}",
-            )
-        handles = service.run()
-        counters = service.metrics.service_counters()
-        latencies = [r.latency for r in service.job_records]
-        results = [h.result() for h in handles]
-        doc = {
-            "apps": int(counters["service_apps"]),
-            "jobs": int(counters["service_jobs"]),
-            "gids_deduped": int(counters["gids_deduped"]),
-            "shared_hits": int(counters["shared_hits"]),
-            "shared_hit_bytes": counters["shared_hit_bytes"],
-            "hit_ratio": round(handles[0].report().hit_ratio(), 4),
-            "results_identical": len(set(results)) == 1,
-            "latency_p50": round(_percentile(latencies, 0.50), 6),
-            "latency_p99": round(_percentile(latencies, 0.99), 6),
-            "makespan_seconds": round(service.now, 6),
-        }
-        service.shutdown()
-        return doc, to_jsonl(tracer.events)
-
-    t0 = time.perf_counter()
-    doc, trace_a = once()
-    wall = time.perf_counter() - t0
-    _doc_b, trace_b = once()
-    doc["deterministic"] = trace_a == trace_b
-    doc["wall_seconds"] = round(wall, 3)
-    doc["system"] = system
-    doc["seed"] = SEED
-    doc["backend"] = "columnar" if bcfg.columnar_backend else "list"
-    doc["codec"] = bcfg.columnar_codec
-    doc["spill_codec"] = bcfg.columnar_spill_codec
-    return doc
-
-
-def run_service_matrix(
-    systems: list[str], workload: str, num_apps: int, iterations: int | None = None
-) -> dict:
-    cells = []
-    for system in systems:
-        print(
-            f"[bench] service: {workload} stream x {system} "
-            f"({num_apps} apps / {SERVICE_TENANTS} tenants) ...",
-            flush=True,
-        )
-        cell = run_service_cell(system, workload, num_apps, iterations=iterations)
-        cells.append(cell)
-        print(
-            f"[bench]   {cell['jobs']} jobs in {cell['wall_seconds']:.1f}s wall, "
-            f"hit_ratio={cell['hit_ratio']}, deduped={cell['gids_deduped']}, "
-            f"shared={cell['shared_hit_bytes'] / MiB:.0f} MiB, "
-            f"p99={cell['latency_p99']:.1f}s"
-            + ("" if cell["deterministic"] else "  [NON-DETERMINISTIC]"),
-            flush=True,
-        )
-    return {
-        "workload": workload,
-        "num_apps": num_apps,
-        "num_tenants": SERVICE_TENANTS,
-        "seed": SEED,
-        "cells": cells,
-        "total_jobs": sum(c["jobs"] for c in cells),
-        "all_deterministic": all(c["deterministic"] for c in cells),
-    }
 
 
 def run_cell_subprocess(**spec) -> dict:
@@ -934,8 +784,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="attach cProfile top-N to every measurement")
     parser.add_argument(
         "--suite",
-        choices=["faults", "service", "obs", "columnar", "scale", "elastic",
-                 "all"],
+        choices=["faults", "obs", "columnar", "scale", "elastic", "all"],
         default="all",
     )
     parser.add_argument("--cell", help="(internal) run one cell from a JSON spec")
@@ -959,10 +808,6 @@ def main(argv: list[str] | None = None) -> int:
             doc["faults"] = run_matrix(
                 "faults", "tiny", ["blaze", "spark_mem_disk"], ["pr"],
                 in_process=True, profile=args.profile,
-            )
-        if args.suite in ("service", "all"):
-            doc["service"] = run_service_matrix(
-                ["blaze", "spark_mem_disk"], SERVICE_WORKLOAD, num_apps=4,
             )
         if args.suite in ("obs", "all"):
             doc["obs"] = run_matrix(
@@ -989,11 +834,6 @@ def main(argv: list[str] | None = None) -> int:
                 "faults", "paper", FAULT_SYSTEMS, FAULT_WORKLOADS,
                 in_process=False, profile=args.profile,
             )
-        if args.suite in ("service", "all"):
-            doc["service"] = run_service_matrix(
-                SERVICE_SYSTEMS, SERVICE_WORKLOAD,
-                num_apps=SERVICE_APPS, iterations=SERVICE_ITERS,
-            )
         if args.suite in ("obs", "all"):
             doc["obs"] = run_matrix(
                 "obs", "paper", OBS_SYSTEMS, OBS_WORKLOADS,
@@ -1013,7 +853,6 @@ def main(argv: list[str] | None = None) -> int:
 
     out = args.out or {
         "faults": "BENCH_pr5.json",
-        "service": "BENCH_pr6.json",
         "obs": "BENCH_pr7.json",
         "columnar": "BENCH_pr8.json",
         "scale": "BENCH_pr9.json",
@@ -1032,12 +871,6 @@ def main(argv: list[str] | None = None) -> int:
             f"[bench] obs: overhead {min(overheads)}% - {max(overheads)}%, "
             f"observables_identical="
             f"{all(c['observables_identical'] for c in doc['obs']['cells'])}"
-        )
-    if "service" in doc:
-        svc = doc["service"]
-        print(
-            f"[bench] service: {svc['total_jobs']} jobs across "
-            f"{len(svc['cells'])} presets, deterministic={svc['all_deterministic']}"
         )
     if "elastic" in doc:
         el = doc["elastic"]

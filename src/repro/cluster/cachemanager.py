@@ -4,6 +4,9 @@ Every system under test (plain Spark modes, LRC/MRD variants, Blaze and its
 ablations) is a :class:`CacheManager` implementation.  The driver calls the
 hooks at well-defined points:
 
+- ``on_stream_open`` / ``on_stream_close`` — an application started or
+  ended (the service fires them; Blaze opens and closes the application's
+  reference stream, Spark-style managers ignore them);
 - ``on_job_submit`` — a new job (iteration) was submitted; policies refresh
   lineage-derived state, Blaze triggers the ILP;
 - ``on_stage_complete`` — a stage finished; Blaze auto-caches/unpersists;
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 from ..tracing.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..dataflow.dag import Job, Stage
+    from ..dataflow.dag import Job, JobStream, Stage
     from ..dataflow.rdd import RDD
     from ..metrics.collector import TaskMetrics
     from .blocks import Block
@@ -88,6 +91,16 @@ class CacheManager(ABC):
     # ------------------------------------------------------------------
     # Lifecycle hooks
     # ------------------------------------------------------------------
+    def on_stream_open(self, stream: "JobStream") -> None:  # noqa: B027
+        """An application started; its jobs will carry ``stream``.
+
+        Fired by the service when the application starts running — at its
+        arrival time, never while it is still queued to arrive.
+        """
+
+    def on_stream_close(self, stream: "JobStream") -> None:  # noqa: B027
+        """The application behind ``stream`` ended; no more jobs from it."""
+
     def on_job_submit(self, job: "Job") -> None:  # noqa: B027 - optional hook
         """Called before the job's first stage executes."""
 

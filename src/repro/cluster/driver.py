@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..dataflow.dag import Job, Stage, build_job
+from ..dataflow.dag import Job, JobStream, Stage, build_job
 from ..dataflow.dependencies import ShuffleDependency
 from ..dataflow.fusion import FusionPlanner
 from ..errors import DataflowError
@@ -88,9 +88,18 @@ class Driver:
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
-    def run_job(self, final_rdd: "RDD", action_fn: Callable[[int, list], Any]) -> list:
-        """Plan, schedule, and run one action; returns per-partition results."""
-        job = build_job(next(self._job_ids), final_rdd, action_fn)
+    def run_job(
+        self,
+        final_rdd: "RDD",
+        action_fn: Callable[[int, list], Any],
+        stream: JobStream | None = None,
+    ) -> list:
+        """Plan, schedule, and run one action; returns per-partition results.
+
+        ``stream`` is the submitting application's job stream (see
+        :class:`~repro.dataflow.dag.JobStream`).
+        """
+        job = build_job(next(self._job_ids), final_rdd, action_fn, stream)
         job.stages_to_run = self._select_stages(job)
         self.job_log.append(job)
         job_span = self.tracer.begin(
@@ -571,8 +580,8 @@ class Driver:
     def unpersist_rdd(self, rdd: "RDD") -> None:
         """Driver-side unpersist: drop all the dataset's blocks everywhere."""
         for ex in self.cluster.executors:
-            for block in ex.bm.cached_blocks():
-                if block.rdd_id == rdd.rdd_id:
+            for store in (ex.bm.memory, ex.bm.disk):
+                for block in store.blocks_for_rdd(rdd.rdd_id):
                     ex.bm.discard(block.block_id, evicted=False)
                     self.cache_manager.on_block_removed(ex, block)
 

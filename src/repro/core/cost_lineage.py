@@ -1,26 +1,50 @@
 """The CostLineage: cross-job lineage with live partition metrics (§5.3).
 
 The CostLineage merges the DAGs of all submitted (and profiled) jobs into a
-single application-wide graph, tracks where each dataset is *referenced*
-(job, stage), and layers partition metrics on top:
+single graph, tracks where each dataset is *referenced* (job, stage), and
+layers partition metrics on top.  What it knows splits in two:
+
+**Shared, per dataset** (one copy, whichever application touches it):
 
 - structure: ``parents_of`` / ``num_splits`` — the recomputation paths;
-- references: ``future_refs`` — how many upcoming stage-level uses a
-  dataset still has, driving automatic caching and unpersisting;
 - metrics: observed sizes/compute times, with profile-scaled priors and
-  inductive regression over congruent iterations filling the gaps;
-- pattern: a detected iteration cycle maps datasets to (role, iteration)
-  coordinates, enabling the induction of not-yet-captured iterations.
+  inductive regression over congruent iterations filling the gaps.
+
+**Per application** — a :class:`ReferenceStream`, positioned on that
+application's *own* job index (its first job is job 0, whatever the
+driver-global job id):
+
+- references: real / estimated / recurrent events, the ``(job, stage)``
+  position, the detected iteration cycle mapping datasets to
+  (role, iteration) coordinates, and whether the stream's knowledge of its
+  own future is complete.
+
+``future_refs`` — the one number admission, eviction weights and
+auto-unpersist hang on — is the *sum over every open stream*: the current
+stream (the one whose job is executing) counted inclusive/exclusive of
+its running stage, every parked stream from its last completed stage.  A
+single application is one stream whose job index is the driver job id.
+
+The paper's induction is lifted one level, from iterations to
+applications: a :class:`StreamTemplate` is what one application's stream
+looked like from start to end (the seeded profile is the first one; a
+closed stream that instantiated none becomes one).  A newly opened stream
+adopts a template's events as estimates that its real captures replace job
+by job, and when two of the last three closed streams instantiated the
+same template, one not-yet-arrived instance of it is *projected* — the
+recurrent-dataset rule applied to applications — so shared datasets keep
+references across the idle gap between arrivals.
 
 Positions are ``(job_seq, stage_seq)`` pairs ordered lexicographically;
-the driver advances the position as stages complete.
+the driver advances the current stream's position as stages complete.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 from .metrics_store import PartitionMetricsStore
 from .pattern import CycleInfo, detect_cycle
@@ -42,7 +66,10 @@ class StageRef:
 
 @dataclass(frozen=True)
 class JobCapture:
-    """Structural capture of one job (executed stages only)."""
+    """Structural capture of one job (executed stages only).
+
+    ``job_seq`` is the job's index on its application's own job axis.
+    """
 
     job_seq: int
     stages: tuple[StageRef, ...]
@@ -79,11 +106,341 @@ def capture_job(
     if materialized is not None:
         for stage in stages:
             materialized.update(stage.rdd_ids)
-    return JobCapture(job_seq=job.job_id, stages=tuple(stages))
+    return JobCapture(job_seq=job.seq_in_stream, stages=tuple(stages))
+
+
+@dataclass(frozen=True, eq=False)
+class StreamTemplate:
+    """One application's reference stream, start to end, as a prediction.
+
+    ``complete`` says the captures enumerate the whole application (a
+    truncated profile's do not): an adopting stream then knows its total
+    job count and trusts "no known reference" to mean "no reference".
+    Templates compare by identity — "instantiated the same template" is
+    about which prediction a stream adopted, not what it turned out to do
+    (realized captures vary with what happened to be cached).
+    """
+
+    captures: tuple[JobCapture, ...]
+    complete: bool
+
+    def rdd_ids(self) -> set[int]:
+        return {r for capture in self.captures for r in capture.rdd_ids()}
+
+
+class ReferenceStream:
+    """One application's reference events, on its own job axis."""
+
+    def __init__(self, lineage: "CostLineage", name: str = "") -> None:
+        self._lineage = lineage
+        self.name = name
+        #: the prediction this stream adopted, if any
+        self.template: StreamTemplate | None = None
+        #: real captures in job order (what a closed stream is remembered by)
+        self.captures: list[JobCapture] = []
+        # ---- reference events
+        self._events: dict[int, set[Position]] = {}
+        self._estimated_events: dict[int, set[Position]] = {}
+        # projections from the recurrent-dataset rule, kept apart so a
+        # later cycle detection can supersede them without touching
+        # template-seeded estimates
+        self._recurrent_events: dict[int, set[Position]] = {}
+        self._sorted_cache: dict[int, list[Position]] = {}
+        # per-job count of physical (bucket, rdd, position) event entries,
+        # so max_job_seq never rescans the buckets
+        self._job_event_counts: dict[int, int] = {}
+        self._max_job_seq = -1
+        # ---- job stream bookkeeping
+        self._ingested_jobs: set[int] = set()
+        self._new_ids_per_job: dict[int, list[int]] = {}
+        self.seen_ids: set[int] = set()
+        self.cycle: CycleInfo | None = None
+        # ---- progress
+        self.position: Position = (-1, -1)
+        #: whether future references can be trusted to be exhaustive: true
+        #: once a complete template is adopted or an iteration cycle has
+        #: been detected (until then, "zero future refs" may just mean "not
+        #: yet known", and unpersisting on it would destroy reused data).
+        self.knowledge_complete = False
+        #: total number of jobs the application will submit, when known
+        #: (a complete template captured a run to its end); bounds pattern
+        #: extension so no references are projected past the end.
+        self.expected_total_jobs: int | None = None
+
+    # ------------------------------------------------------------------
+    # Reference-event ingestion
+    # ------------------------------------------------------------------
+    def adopt(self, template: StreamTemplate) -> None:
+        """Take a template's events as estimates of this stream's future."""
+        self.template = template
+        for capture in template.captures:
+            self.ingest_capture(capture, estimated=True)
+        if template.complete:
+            self.knowledge_complete = True
+            if template.captures:
+                self.expected_total_jobs = max(c.job_seq for c in template.captures) + 1
+
+    def ingest_capture(self, capture: JobCapture, estimated: bool = False) -> None:
+        """Merge one job's stage references into the stream.
+
+        Real (non-estimated) ingestion of a job sequence *replaces* any
+        events previously estimated for it (predictions yield to reality).
+        """
+        job_seq = capture.job_seq
+        if not estimated:
+            self._drop_estimates_for_job(job_seq)
+            self._ingested_jobs.add(job_seq)
+            self.captures.append(capture)
+        bucket_map = self._estimated_events if estimated else self._events
+        new_ids: list[int] = []
+        changed = False
+        for stage in capture.stages:
+            position = (job_seq, stage.seq)
+            for rdd_id in stage.rdd_ids:
+                events = bucket_map.setdefault(rdd_id, set())
+                if position not in events:
+                    events.add(position)
+                    self._note_event_added(rdd_id, position, bucket_map)
+                    changed = True
+                if rdd_id not in self.seen_ids:
+                    self.seen_ids.add(rdd_id)
+                    new_ids.append(rdd_id)
+        if changed:
+            self._lineage.version += 1
+        if new_ids:
+            self._new_ids_per_job.setdefault(job_seq, []).extend(new_ids)
+            self._refresh_cycle()
+
+    # -- event bookkeeping: counts feed max_job_seq, the sorted cache is
+    # -- repaired in place instead of being rebuilt on next query
+    def _note_event_added(self, rdd_id: int, position: Position, bucket: dict) -> None:
+        job_seq = position[0]
+        self._job_event_counts[job_seq] = self._job_event_counts.get(job_seq, 0) + 1
+        if job_seq > self._max_job_seq:
+            self._max_job_seq = job_seq
+        cached = self._sorted_cache.get(rdd_id)
+        if cached is not None and not any(
+            position in other.get(rdd_id, ())
+            for other in (self._events, self._estimated_events, self._recurrent_events)
+            if other is not bucket
+        ):
+            insort(cached, position)
+
+    def _note_event_removed(self, rdd_id: int, position: Position) -> None:
+        job_seq = position[0]
+        count = self._job_event_counts.get(job_seq, 0) - 1
+        if count > 0:
+            self._job_event_counts[job_seq] = count
+        else:
+            self._job_event_counts.pop(job_seq, None)
+            if job_seq == self._max_job_seq:
+                self._max_job_seq = (
+                    max(self._job_event_counts) if self._job_event_counts else -1
+                )
+
+    def _drop_estimates_for_job(self, job_seq: int) -> None:
+        changed = False
+        for bucket in (self._estimated_events, self._recurrent_events):
+            for rdd_id, events in list(bucket.items()):
+                stale = {e for e in events if e[0] == job_seq}
+                if stale:
+                    events -= stale
+                    for position in stale:
+                        self._note_event_removed(rdd_id, position)
+                    self._sorted_cache.pop(rdd_id, None)
+                    changed = True
+        if changed:
+            self._lineage.version += 1
+
+    def _refresh_cycle(self) -> None:
+        if not self._lineage.induction_enabled:
+            return
+        ordered = [self._new_ids_per_job.get(j, []) for j in range(self.max_job_seq() + 1)]
+        cycle = detect_cycle(ordered)
+        if cycle is not None and cycle != self.cycle:
+            self.cycle = cycle
+            self.knowledge_complete = True
+            lineage = self._lineage
+            lineage.metrics.role_fn = lineage.prior.role_fn = lineage._role_of
+            # Role-based extension supersedes the cruder recurrent-dataset
+            # projections made before the cycle was known.
+            for rdd_id, events in self._recurrent_events.items():
+                for position in events:
+                    self._note_event_removed(rdd_id, position)
+            self._recurrent_events.clear()
+            self._sorted_cache.clear()
+            self._lineage.version += 1
+
+    def max_job_seq(self) -> int:
+        """Largest job sequence with any (real or estimated) events.
+
+        Tracked incrementally as events are added and removed; this is a
+        hot query (cycle refresh, pattern extension) and must not rescan
+        the event buckets.
+        """
+        return self._max_job_seq
+
+    # ------------------------------------------------------------------
+    # Induction of future iterations (truncated profiles / on-the-run)
+    # ------------------------------------------------------------------
+    def extend_with_pattern(self, up_to_job: int) -> int:
+        """Project reference events for jobs beyond what has been captured.
+
+        Two induction rules:
+
+        - *role extension* (when an iteration cycle is detected): a dataset
+          at (role, iteration) inherits the job offsets at which congruent
+          datasets of earlier iterations were referenced;
+        - *recurrent datasets*: a dataset referenced by at least two of
+          the last three known jobs (and carrying no cycle role) is
+          assumed to be referenced by every job up to ``up_to_job``.
+
+        A successful projection marks the stream's knowledge complete: the
+        future is now a model rather than a blank.  Returns the number of
+        events added.
+        """
+        if not self._lineage.induction_enabled:
+            return 0
+        if self.expected_total_jobs is not None:
+            if self.max_job_seq() >= self.expected_total_jobs - 1:
+                return 0  # a complete template already enumerates every job
+            up_to_job = min(up_to_job, self.expected_total_jobs - 1)
+        # The recurrent rule anchors on the *real* job stream: projections
+        # of one dataset must not push the reference window past another's
+        # actual references.
+        real_last = max(self._ingested_jobs, default=-1)
+        last_known = self.max_job_seq()
+        if real_last < 1 and up_to_job <= last_known:
+            return 0
+        cycle = self.cycle
+
+        # Offsets D_rho: for each role, jobs (relative to the dataset's own
+        # iteration job) at which the role is referenced.
+        offsets: dict[int, set[int]] = {}
+        if cycle is not None:
+            for rdd_id, events in self._events.items():
+                role = cycle.role_of(rdd_id)
+                if role is None:
+                    continue
+                role_idx, iteration = role
+                own_job = cycle.start_job + iteration
+                for job_seq, _stage in events:
+                    offsets.setdefault(role_idx, set()).add(job_seq - own_job)
+
+        added = 0
+        for rdd_id in list(self.seen_ids):
+            role = cycle.role_of(rdd_id) if cycle is not None else None
+            all_events = self._events.get(rdd_id, set()) | self._estimated_events.get(rdd_id, set())
+            if role is None:
+                if real_last < 1:
+                    continue
+                ref_jobs = {j for j, _ in all_events}
+                recent = ref_jobs & {real_last, real_last - 1, real_last - 2}
+                if len(recent) >= 2:
+                    for j in range(real_last + 1, up_to_job + 1):
+                        if self._add_estimated(rdd_id, (j, 0), recurrent=True):
+                            added += 1
+                continue
+            role_idx, iteration = role
+            own_job = cycle.start_job + iteration
+            for delta in offsets.get(role_idx, ()):
+                j = own_job + delta
+                if max(last_known, real_last) < j <= up_to_job:
+                    if self._add_estimated(rdd_id, (j, 0)):
+                        added += 1
+        if added:
+            self.knowledge_complete = True
+        return added
+
+    def _add_estimated(self, rdd_id: int, position: Position, recurrent: bool = False) -> bool:
+        bucket = self._recurrent_events if recurrent else self._estimated_events
+        events = bucket.setdefault(rdd_id, set())
+        if (
+            position in events
+            or position in self._events.get(rdd_id, ())
+            or position in self._estimated_events.get(rdd_id, ())
+            or position in self._recurrent_events.get(rdd_id, ())
+        ):
+            return False
+        events.add(position)
+        self._note_event_added(rdd_id, position, bucket)
+        self._lineage.version += 1
+        return True
+
+    # ------------------------------------------------------------------
+    # Progress + per-stream reference queries
+    # ------------------------------------------------------------------
+    def set_position(self, job_seq: int, stage_seq: int) -> None:
+        """Advance the stream's progress pointer."""
+        if self.position != (job_seq, stage_seq):
+            self.position = (job_seq, stage_seq)
+            self._lineage.version += 1
+
+    @property
+    def next_job(self) -> int:
+        """First job a *parked* stream has not run yet.
+
+        Applications interleave at job granularity, so a parked stream
+        sits past the last stage of ``position[0]`` (or has not started).
+        """
+        return self.position[0] + 1
+
+    def sorted_events(self, rdd_id: int) -> Sequence[Position]:
+        if rdd_id not in self.seen_ids:
+            return _NO_EVENTS
+        cached = self._sorted_cache.get(rdd_id)
+        if cached is None:
+            merged = (
+                self._events.get(rdd_id, set())
+                | self._estimated_events.get(rdd_id, set())
+                | self._recurrent_events.get(rdd_id, set())
+            )
+            cached = sorted(merged)
+            self._sorted_cache[rdd_id] = cached
+        return cached
+
+    def remaining_refs(self, rdd_id: int, inclusive: bool = True) -> int:
+        """Events at (``inclusive``) or after the stream's position."""
+        events = self.sorted_events(rdd_id)
+        if inclusive:
+            idx = bisect_left(events, self.position)
+        else:
+            idx = bisect_right(events, self.position)
+        return len(events) - idx
+
+    def refs_in_jobs(self, rdd_id: int, first_job: int, last_job: int) -> int:
+        events = self.sorted_events(rdd_id)
+        lo = bisect_left(events, (first_job, -1))
+        hi = bisect_right(events, (last_job, 1 << 30))
+        return hi - lo
+
+    def next_reference_job(self, rdd_id: int) -> int | None:
+        events = self.sorted_events(rdd_id)
+        idx = bisect_left(events, self.position)
+        return events[idx][0] if idx < len(events) else None
+
+    def __repr__(self) -> str:
+        return f"<ReferenceStream {self.name!r} pos={self.position} cycle={self.cycle}>"
+
+
+_NO_EVENTS: tuple[Position, ...] = ()
+
+
+@dataclass(frozen=True)
+class StreamReferences:
+    """One stream's share of a dataset's future references (``explain()``)."""
+
+    stream: str
+    #: ``"current"``, ``"parked"`` or ``"projected"``
+    role: str
+    position: Position
+    refs: int
+    #: the stream's job index of the next reference, on its own axis
+    next_job: int | None
 
 
 class CostLineage:
-    """Application-wide lineage + metrics, updated as the workload runs."""
+    """Shared lineage + metrics, and the reference streams counted over it."""
 
     def __init__(self, induction_enabled: bool = True) -> None:
         self.induction_enabled = induction_enabled
@@ -93,46 +450,33 @@ class CostLineage:
         self._num_splits: dict[int, int] = {}
         self._names: dict[int, str] = {}
         self._ser_factors: dict[int, float] = {}
-        # ---- reference events
-        self._events: dict[int, set[Position]] = {}
-        self._estimated_events: dict[int, set[Position]] = {}
-        # projections from the recurrent-dataset rule, kept apart so a
-        # later cycle detection can supersede them without touching
-        # profile-seeded estimates
-        self._recurrent_events: dict[int, set[Position]] = {}
-        self._sorted_cache: dict[int, list[Position]] = {}
-        # per-job count of physical (bucket, rdd, position) event entries,
-        # so max_job_seq never rescans the buckets
-        self._job_event_counts: dict[int, int] = {}
-        self._max_job_seq = -1
         # ---- decision epochs: ``version`` advances whenever anything a
-        # reference or cost query depends on changes (position, events,
-        # structure, cycle detection); ``structure_version`` advances only
-        # on topology changes (parent edges added/replaced).  Consumers
-        # stamp memoized results with these and re-derive lazily.
+        # reference or cost query depends on changes (a stream's position
+        # or events, a stream opening/closing/becoming current, structure,
+        # cycle detection); ``structure_version`` advances only on topology
+        # changes (parent edges added/replaced).  Consumers stamp memoized
+        # results with these and re-derive lazily.
         self.version = 0
         self.structure_version = 0
         self._refs_memo: dict[tuple[int, bool], int] = {}
         self._refs_memo_version = -1
-        # ---- job stream bookkeeping
-        self._ingested_jobs: set[int] = set()
-        self._new_ids_per_job: dict[int, list[int]] = {}
-        self._seen_ids: set[int] = set()
-        self.cycle: CycleInfo | None = None
+        # ---- reference streams: open ones by key (opening order), the one
+        # whose job is executing (or ran last), and the projected instance
+        self._streams: dict[Hashable, ReferenceStream] = {}
+        self._current: ReferenceStream | None = None
+        self._projected: ReferenceStream | None = None
+        #: every stream ``future_refs`` sums: open ones, then the projection
+        self._counted: list[ReferenceStream] = []
+        #: templates the last three closed streams instantiated (the seeded
+        #: profile counts as the first): the only ones a new stream can
+        #: adopt, and the window of the projection rule
+        self._recent: deque[StreamTemplate] = deque(maxlen=3)
+        #: the seeded profile's stream, waiting for the next application to
+        #: open (it describes the one about to start)
+        self._seeded: ReferenceStream | None = None
         # ---- metrics
         self.metrics = PartitionMetricsStore()
         self.prior = PartitionMetricsStore()  # profile-scaled estimates
-        # ---- progress
-        self.position: Position = (-1, -1)
-        #: whether future references can be trusted to be exhaustive: true
-        #: once a complete profile is seeded or an iteration cycle has been
-        #: detected (until then, "zero future refs" may just mean "not yet
-        #: known", and unpersisting on it would destroy reused data).
-        self.knowledge_complete = False
-        #: total number of jobs the application will submit, when known
-        #: (a complete profile captured the run to convergence); bounds
-        #: pattern extension so no references are projected past the end.
-        self.expected_total_jobs: int | None = None
 
     # ------------------------------------------------------------------
     # Structure registration
@@ -189,225 +533,146 @@ class CostLineage:
         return sorted(self._parents.keys())
 
     # ------------------------------------------------------------------
-    # Reference-event ingestion
+    # Stream lifecycle
     # ------------------------------------------------------------------
-    def ingest_capture(self, capture: JobCapture, estimated: bool = False) -> None:
-        """Merge one job's stage references into the lineage.
+    def open_stream(self, key: Hashable, name: str = "") -> ReferenceStream:
+        """Start counting an application's references (idempotent).
 
-        Real (non-estimated) ingestion of a job sequence *replaces* any
-        events previously estimated for it (profile predictions yield to
-        reality).
+        The stream knows nothing yet; it adopts a template at its first
+        real capture (see :meth:`ingest_capture`).  The exception is a
+        seeded profile, which describes the application about to start:
+        the next stream to open is the one seeding prepared.
         """
-        job_seq = capture.job_seq
-        if not estimated:
-            self._drop_estimates_for_job(job_seq)
-            self._ingested_jobs.add(job_seq)
-        bucket_map = self._estimated_events if estimated else self._events
-        new_ids: list[int] = []
-        changed = False
-        for stage in capture.stages:
-            position = (job_seq, stage.seq)
-            for rdd_id in stage.rdd_ids:
-                events = bucket_map.setdefault(rdd_id, set())
-                if position not in events:
-                    events.add(position)
-                    self._note_event_added(rdd_id, position, bucket_map)
-                    changed = True
-                if rdd_id not in self._seen_ids:
-                    self._seen_ids.add(rdd_id)
-                    new_ids.append(rdd_id)
-        if changed:
-            self.version += 1
-        if new_ids:
-            self._new_ids_per_job.setdefault(job_seq, []).extend(new_ids)
-            self._refresh_cycle()
+        stream = self._streams.get(key)
+        if stream is not None:
+            return stream
+        stream, self._seeded = self._seeded or ReferenceStream(self), None
+        stream.name = name
+        self._streams[key] = stream
+        if self._current is None:
+            self._current = stream
+        self._recount()
+        return stream
 
-    # -- event bookkeeping: counts feed max_job_seq, the sorted cache is
-    # -- repaired in place instead of being rebuilt on next query
-    def _note_event_added(self, rdd_id: int, position: Position, bucket: dict) -> None:
-        job_seq = position[0]
-        self._job_event_counts[job_seq] = self._job_event_counts.get(job_seq, 0) + 1
-        if job_seq > self._max_job_seq:
-            self._max_job_seq = job_seq
-        cached = self._sorted_cache.get(rdd_id)
-        if cached is not None and not any(
-            position in other.get(rdd_id, ())
-            for other in (self._events, self._estimated_events, self._recurrent_events)
-            if other is not bucket
-        ):
-            insort(cached, position)
-
-    def _note_event_removed(self, rdd_id: int, position: Position) -> None:
-        job_seq = position[0]
-        count = self._job_event_counts.get(job_seq, 0) - 1
-        if count > 0:
-            self._job_event_counts[job_seq] = count
-        else:
-            self._job_event_counts.pop(job_seq, None)
-            if job_seq == self._max_job_seq:
-                self._max_job_seq = (
-                    max(self._job_event_counts) if self._job_event_counts else -1
-                )
-
-    def _drop_estimates_for_job(self, job_seq: int) -> None:
-        changed = False
-        for bucket in (self._estimated_events, self._recurrent_events):
-            for rdd_id, events in list(bucket.items()):
-                stale = {e for e in events if e[0] == job_seq}
-                if stale:
-                    events -= stale
-                    for position in stale:
-                        self._note_event_removed(rdd_id, position)
-                    self._sorted_cache.pop(rdd_id, None)
-                    changed = True
-        if changed:
+    def activate(self, key: Hashable) -> None:
+        """Make ``key``'s stream the current one: its job is executing."""
+        stream = self.open_stream(key)
+        if stream is not self._current:
+            self._current = stream
             self.version += 1
 
-    def _refresh_cycle(self) -> None:
-        if not self.induction_enabled:
+    def close_stream(self, key: Hashable) -> None:
+        """The application ended: stop counting its stream, remember it.
+
+        A stream that ran jobs is remembered by the template it
+        instantiated — itself, if it adopted none — and when two of the
+        last three remembered agree, one more instance is projected.
+        """
+        stream = self._streams.pop(key, None)
+        if stream is None:
             return
-        ordered = [self._new_ids_per_job.get(j, []) for j in range(self.max_job_seq() + 1)]
-        cycle = detect_cycle(ordered)
-        if cycle is not None and cycle != self.cycle:
-            self.cycle = cycle
-            self.knowledge_complete = True
-            self.metrics.role_fn = self._role_of
-            self.prior.role_fn = self._role_of
-            # Role-based extension supersedes the cruder recurrent-dataset
-            # projections made before the cycle was known.
-            for rdd_id, events in self._recurrent_events.items():
-                for position in events:
-                    self._note_event_removed(rdd_id, position)
-            self._recurrent_events.clear()
-            self._sorted_cache.clear()
-            self.version += 1
+        if stream is self._current:
+            self._current = None
+        if stream.captures:
+            self._recent.append(
+                stream.template or StreamTemplate(tuple(stream.captures), complete=True)
+            )
+            self._project()
+        self._recount()
+
+    def add_template(self, captures: Iterable[JobCapture], complete: bool) -> None:
+        """Seed a profile: the first template, adopted for the next stream."""
+        template = StreamTemplate(tuple(captures), complete)
+        self._recent.append(template)
+        self._seeded = ReferenceStream(self)
+        self._seeded.adopt(template)
+
+    def _project(self) -> None:
+        recent = list(self._recent)
+        template = next((t for t in recent if recent.count(t) >= 2), None)
+        if template is (self._projected.template if self._projected else None):
+            return
+        self._projected = None
+        if template is not None:
+            self._projected = ReferenceStream(self, "projected")
+            self._projected.adopt(template)
+
+    def _recount(self) -> None:
+        self._counted = list(self._streams.values())
+        if self._projected is not None:
+            self._counted.append(self._projected)
+        self.version += 1
+
+    @property
+    def current(self) -> ReferenceStream:
+        """The current stream; a lineage used without streams gets one."""
+        if self._current is None:
+            self.activate(None)
+        return self._current
 
     def _role_of(self, rdd_id: int) -> tuple[int, int] | None:
-        return self.cycle.role_of(rdd_id) if self.cycle is not None else None
+        """(role, iteration) of a dataset in the current stream's cycle."""
+        stream = self._current or self._seeded
+        if stream is None or stream.cycle is None:
+            return None
+        return stream.cycle.role_of(rdd_id)
 
-    def max_job_seq(self) -> int:
-        """Largest job sequence with any (real or estimated) events.
+    # -- the current stream's state under the names a one-application
+    # -- lineage always had
+    def ingest_capture(self, capture: JobCapture, estimated: bool = False) -> None:
+        """Merge one job's references into the current stream.
 
-        Tracked incrementally as events are added and removed; this is a
-        hot query (cycle refresh, pattern extension) and must not rescan
-        the event buckets.
+        A stream's first real capture is when it learns what it is: it
+        adopts the first recent template whose datasets cover the
+        capture's (containment, not equality — what a job is expected to
+        touch shrinks with what is already cached).
         """
-        return self._max_job_seq
+        stream = self.current
+        if not estimated and stream.template is None and not stream.captures:
+            rdd_ids = capture.rdd_ids()
+            for template in dict.fromkeys(self._recent):
+                if rdd_ids <= template.rdd_ids():
+                    stream.adopt(template)
+                    break
+        stream.ingest_capture(capture, estimated)
 
-    # ------------------------------------------------------------------
-    # Induction of future iterations (truncated profiles / on-the-run)
-    # ------------------------------------------------------------------
     def extend_with_pattern(self, up_to_job: int) -> int:
-        """Project reference events for jobs beyond what has been captured.
+        return self.current.extend_with_pattern(up_to_job)
 
-        Two induction rules:
-
-        - *role extension* (when an iteration cycle is detected): a dataset
-          at (role, iteration) inherits the job offsets at which congruent
-          datasets of earlier iterations were referenced;
-        - *recurrent datasets*: a dataset referenced by at least two of
-          the last three known jobs (and carrying no cycle role) is
-          assumed to be referenced by every job up to ``up_to_job``.
-
-        A successful projection marks the lineage knowledge complete: the
-        future is now a model rather than a blank.  Returns the number of
-        events added.
-        """
-        if not self.induction_enabled:
-            return 0
-        if self.expected_total_jobs is not None:
-            if self.max_job_seq() >= self.expected_total_jobs - 1:
-                return 0  # a complete profile already enumerates every job
-            up_to_job = min(up_to_job, self.expected_total_jobs - 1)
-        # The recurrent rule anchors on the *real* job stream: projections
-        # of one dataset must not push the reference window past another's
-        # actual references.
-        real_last = max(self._ingested_jobs, default=-1)
-        last_known = self.max_job_seq()
-        if real_last < 1 and up_to_job <= last_known:
-            return 0
-        cycle = self.cycle
-
-        # Offsets D_rho: for each role, jobs (relative to the dataset's own
-        # iteration job) at which the role is referenced.
-        offsets: dict[int, set[int]] = {}
-        if cycle is not None:
-            for rdd_id, events in self._events.items():
-                role = cycle.role_of(rdd_id)
-                if role is None:
-                    continue
-                role_idx, iteration = role
-                own_job = cycle.start_job + iteration
-                for job_seq, _stage in events:
-                    offsets.setdefault(role_idx, set()).add(job_seq - own_job)
-
-        added = 0
-        for rdd_id in list(self._seen_ids):
-            role = cycle.role_of(rdd_id) if cycle is not None else None
-            all_events = self._events.get(rdd_id, set()) | self._estimated_events.get(rdd_id, set())
-            if role is None:
-                if real_last < 1:
-                    continue
-                ref_jobs = {j for j, _ in all_events}
-                recent = ref_jobs & {real_last, real_last - 1, real_last - 2}
-                if len(recent) >= 2:
-                    for j in range(real_last + 1, up_to_job + 1):
-                        if self._add_estimated(rdd_id, (j, 0), recurrent=True):
-                            added += 1
-                continue
-            role_idx, iteration = role
-            own_job = cycle.start_job + iteration
-            for delta in offsets.get(role_idx, ()):
-                j = own_job + delta
-                if max(last_known, real_last) < j <= up_to_job:
-                    if self._add_estimated(rdd_id, (j, 0)):
-                        added += 1
-        if added:
-            self.knowledge_complete = True
-        return added
-
-    def _add_estimated(self, rdd_id: int, position: Position, recurrent: bool = False) -> bool:
-        bucket = self._recurrent_events if recurrent else self._estimated_events
-        events = bucket.setdefault(rdd_id, set())
-        if (
-            position in events
-            or position in self._events.get(rdd_id, ())
-            or position in self._estimated_events.get(rdd_id, ())
-            or position in self._recurrent_events.get(rdd_id, ())
-        ):
-            return False
-        events.add(position)
-        self._note_event_added(rdd_id, position, bucket)
-        self.version += 1
-        return True
-
-    # ------------------------------------------------------------------
-    # Progress + reference queries
-    # ------------------------------------------------------------------
     def set_position(self, job_seq: int, stage_seq: int) -> None:
-        """Advance the workload progress pointer."""
-        if self.position != (job_seq, stage_seq):
-            self.position = (job_seq, stage_seq)
-            self.version += 1
+        self.current.set_position(job_seq, stage_seq)
 
-    def _sorted_events(self, rdd_id: int) -> list[Position]:
-        cached = self._sorted_cache.get(rdd_id)
-        if cached is None:
-            merged = (
-                self._events.get(rdd_id, set())
-                | self._estimated_events.get(rdd_id, set())
-                | self._recurrent_events.get(rdd_id, set())
-            )
-            cached = sorted(merged)
-            self._sorted_cache[rdd_id] = cached
-        return cached
+    @property
+    def cycle(self) -> CycleInfo | None:
+        return self.current.cycle
 
+    @property
+    def knowledge_complete(self) -> bool:
+        return self.current.knowledge_complete
+
+    @knowledge_complete.setter
+    def knowledge_complete(self, value: bool) -> None:
+        self.current.knowledge_complete = value
+
+    @property
+    def expected_total_jobs(self) -> int | None:
+        return self.current.expected_total_jobs
+
+    @expected_total_jobs.setter
+    def expected_total_jobs(self, value: int | None) -> None:
+        self.current.expected_total_jobs = value
+
+    # ------------------------------------------------------------------
+    # Reference queries: sums over every counted stream
+    # ------------------------------------------------------------------
     def future_refs(self, rdd_id: int, inclusive: bool = True) -> int:
-        """Remaining stage-level references at the current position.
+        """Remaining stage-level references, over every open stream.
 
         ``inclusive`` counts a reference in the currently executing stage
         (used on the lookup path); exclusive counting (used when deciding
-        whether a freshly produced partition has *reuse*) does not.
+        whether a freshly produced partition has *reuse*) does not.  Only
+        the current stream has an executing stage: parked streams and the
+        projected instance count everything from their position on.
 
         Counts are memoized per decision epoch: this is the single hottest
         lineage query (every admission, eviction, and auto-unpersist sweep
@@ -420,27 +685,78 @@ class CostLineage:
         cached = self._refs_memo.get(key)
         if cached is not None:
             return cached
-        events = self._sorted_events(rdd_id)
-        if inclusive:
-            idx = bisect_left(events, self.position)
-        else:
-            idx = bisect_right(events, (self.position[0], self.position[1]))
-        count = len(events) - idx
+        current = self._current
+        count = 0
+        for stream in self._counted:
+            count += stream.remaining_refs(rdd_id, inclusive or stream is not current)
         self._refs_memo[key] = count
         return count
 
+    def refs_exhaustive(self, rdd_id: int) -> bool:
+        """Can "zero future references" be trusted for this dataset?
+
+        Yes when every stream it concerns — the current one, and any open
+        stream that has referenced it — has complete knowledge of its own
+        future.  Another application's blank future says nothing about a
+        dataset it never touched.
+        """
+        current = self._current
+        return all(
+            stream.knowledge_complete
+            for stream in self._streams.values()
+            if stream is current or rdd_id in stream.seen_ids
+        )
+
     def refs_in_window(self, rdd_id: int, first_job: int, last_job: int) -> int:
-        """References falling in jobs ``[first_job, last_job]`` (ILP horizon)."""
-        events = self._sorted_events(rdd_id)
-        lo = bisect_left(events, (first_job, -1))
-        hi = bisect_right(events, (last_job, 1 << 30))
-        return hi - lo
+        """References within the ILP horizon.
+
+        The current stream's in its jobs ``[first_job, last_job]``, plus
+        every other counted stream's in as many of its own next jobs.
+        """
+        span = last_job - first_job
+        current = self._current
+        count = 0
+        for stream in self._counted:
+            first = first_job if stream is current else stream.next_job
+            count += stream.refs_in_jobs(rdd_id, first, first + span)
+        return count
 
     def next_reference_job(self, rdd_id: int) -> int | None:
-        """Job sequence of the dataset's next reference, if any."""
-        events = self._sorted_events(rdd_id)
-        idx = bisect_left(events, self.position)
-        return events[idx][0] if idx < len(events) else None
+        """Job of the dataset's next reference, on the current stream's axis.
+
+        Another stream's next reference lies some jobs past its own next
+        job; it is placed as many jobs past the current stream's.
+        """
+        current = self._current
+        after_current = current.position[0] + 1 if current is not None else 0
+        best: int | None = None
+        for stream in self._counted:
+            job = stream.next_reference_job(rdd_id)
+            if job is None:
+                continue
+            if stream is not current:
+                job = after_current + job - stream.next_job
+            if best is None or job < best:
+                best = job
+        return best
+
+    def reference_breakdown(self, rdd_id: int) -> tuple[StreamReferences, ...]:
+        """Who still references a dataset: one entry per counted stream."""
+        current = self._current
+        return tuple(
+            StreamReferences(
+                stream=stream.name,
+                role=(
+                    "current" if stream is current
+                    else "projected" if stream is self._projected
+                    else "parked"
+                ),
+                position=stream.position,
+                refs=stream.remaining_refs(rdd_id),
+                next_job=stream.next_reference_job(rdd_id),
+            )
+            for stream in self._counted
+        )
 
     # ------------------------------------------------------------------
     # Metric queries (observed -> prior -> regression -> default)
@@ -503,6 +819,6 @@ class CostLineage:
 
     def __repr__(self) -> str:
         return (
-            f"<CostLineage rdds={len(self._parents)} jobs<= {self.max_job_seq()} "
-            f"pos={self.position} cycle={self.cycle}>"
+            f"<CostLineage rdds={len(self._parents)} streams={len(self._streams)} "
+            f"current={self._current!r}>"
         )

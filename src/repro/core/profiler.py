@@ -50,7 +50,13 @@ class LineageProfile:
         return len(self.captures)
 
     def seed(self, lineage: CostLineage) -> None:
-        """Load this profile into a CostLineage as estimated knowledge."""
+        """Load this profile into a CostLineage as estimated knowledge.
+
+        Structure and metric priors are per dataset, shared by whichever
+        application touches it; the captures become the lineage's first
+        stream template — what the application about to start, and any
+        later instance of it, is predicted to reference.
+        """
         for rdd_id, parent_ids in self.parents.items():
             lineage.register_rdd(
                 rdd_id,
@@ -59,16 +65,11 @@ class LineageProfile:
                 name=self.names.get(rdd_id, ""),
                 ser_factor=self.ser_factors.get(rdd_id, 1.0),
             )
-        for capture in self.captures:
-            lineage.ingest_capture(capture, estimated=True)
+        lineage.add_template(self.captures, complete=not self.truncated)
         for (rdd_id, split), size in self.sizes.items():
             lineage.prior.observe(rdd_id, split, size_bytes=size)
         for (rdd_id, split), seconds in self.computes.items():
             lineage.prior.observe(rdd_id, split, compute_seconds=seconds)
-        if not self.truncated:
-            lineage.knowledge_complete = True
-            if self.captures:
-                lineage.expected_total_jobs = max(c.job_seq for c in self.captures) + 1
 
 
 class _ProfilingTimeout(ProfilingError):

@@ -38,7 +38,7 @@ from .profiler import LineageProfile
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.cluster import Cluster
     from ..cluster.executor import Executor
-    from ..dataflow.dag import Job, Stage
+    from ..dataflow.dag import Job, JobStream, Stage
     from ..dataflow.rdd import RDD
 
 
@@ -291,7 +291,7 @@ class BlazeCacheManager(CacheManager):
         # While lineage knowledge is incomplete (truncated profile, cycle
         # not yet detected), fall back to the user's annotations rather
         # than assuming "no known reference" means "no reuse".
-        return not self.lineage.knowledge_complete and rdd.is_annotated_cached
+        return rdd.is_annotated_cached and not self.lineage.refs_exhaustive(rdd.rdd_id)
 
     def will_never_store(self, rdd: "RDD") -> bool:
         # Mirrors handle_cache's admission preamble: a non-candidate never
@@ -302,12 +302,22 @@ class BlazeCacheManager(CacheManager):
             return True
         if self.lineage.future_refs(rdd.rdd_id, inclusive=False) > 0:
             return False
-        return self.lineage.knowledge_complete or not rdd.is_annotated_cached
+        return not rdd.is_annotated_cached or self.lineage.refs_exhaustive(rdd.rdd_id)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
+    def on_stream_open(self, stream: "JobStream") -> None:
+        self.lineage.open_stream(stream, stream.name)
+
+    def on_stream_close(self, stream: "JobStream") -> None:
+        self.lineage.close_stream(stream)
+
     def on_job_submit(self, job: "Job") -> None:
+        # Everything below is on the application's own job axis: reference
+        # events, the position, the ILP window.  ``job.job_id`` (fleet-wide)
+        # only labels traces and metrics.
+        self.lineage.activate(job.stream)
         for rdd in job.lineage_rdds():
             self.lineage.register_rdd(
                 rdd.rdd_id,
@@ -324,34 +334,49 @@ class BlazeCacheManager(CacheManager):
         self.lineage.ingest_capture(
             capture_job(job, is_stage_skipped=skipped, materialized=self._materialized_ids)
         )
-        self.lineage.set_position(job.job_id, 0)
-        self.lineage.extend_with_pattern(job.job_id + self.config.ilp_horizon_jobs)
+        self.lineage.set_position(job.seq_in_stream, 0)
+        self.lineage.extend_with_pattern(job.seq_in_stream + self.config.ilp_horizon_jobs)
         if self.config.ilp_enabled:
             self._run_ilp(job)
 
     def on_stage_start(self, stage: "Stage") -> None:
-        job_id = stage.job.job_id if stage.job is not None else 0
-        self.lineage.set_position(job_id, stage.seq_in_job)
+        job_seq = stage.job.seq_in_stream if stage.job is not None else 0
+        self.lineage.set_position(job_seq, stage.seq_in_job)
 
     def on_stage_complete(self, stage: "Stage") -> None:
-        job_id = stage.job.job_id if stage.job is not None else 0
-        self.lineage.set_position(job_id, stage.seq_in_job + 1)
+        job_seq = stage.job.seq_in_stream if stage.job is not None else 0
+        self.lineage.set_position(job_seq, stage.seq_in_job + 1)
         self._auto_unpersist()
 
     def _auto_unpersist(self) -> None:
         """Drop every cached partition with no remaining references (§5.6).
 
-        Skipped while lineage knowledge is incomplete (truncated profile,
-        pre-cycle-detection): zero known references is not evidence of no
-        future use, and wrongly unpersisting reused data costs a full
-        regeneration.
+        "No remaining references" is the count over every open stream, and
+        only trusted for datasets whose streams know their future
+        (truncated profile, pre-cycle-detection: zero known references is
+        not evidence of no future use, and wrongly unpersisting reused
+        data costs a full regeneration).
+
+        Runs at every stage end and usually finds nothing, so the question
+        is asked per resident *dataset* first; blocks are then discarded in
+        store order (memory insertion order, then disk), dead datasets
+        interleaved exactly as a walk over every cached block would.
         """
-        if not self.lineage.knowledge_complete:
-            return
+        lineage = self.lineage
         for executor in self.cluster.executors:
-            for block in executor.bm.cached_blocks():
-                if self.lineage.future_refs(block.rdd_id, inclusive=True) == 0:
-                    executor.bm.discard(block.block_id, evicted=False)
+            bm = executor.bm
+            dead = {
+                rdd_id
+                for store in (bm.memory, bm.disk)
+                for rdd_id in store.resident_rdd_ids()
+                if lineage.future_refs(rdd_id, inclusive=True) == 0
+                and lineage.refs_exhaustive(rdd_id)
+            }
+            if not dead:
+                continue
+            for store in (bm.memory, bm.disk):
+                for block in [b for b in store.blocks() if b.rdd_id in dead]:
+                    bm.discard(block.block_id, evicted=False)
 
     # ------------------------------------------------------------------
     # Metric feed
@@ -392,7 +417,7 @@ class BlazeCacheManager(CacheManager):
         remaining_refs = self.lineage.future_refs(rdd.rdd_id, inclusive=False)
         speculative = False
         if remaining_refs <= 0:
-            if self.lineage.knowledge_complete or not rdd.is_annotated_cached:
+            if not rdd.is_annotated_cached or self.lineage.refs_exhaustive(rdd.rdd_id):
                 return  # no reuse ahead: never worth any storage
             # Annotation fallback under incomplete knowledge: cache it only
             # if it fits for free — no evictions, no disk writes — since the
@@ -694,8 +719,8 @@ class BlazeCacheManager(CacheManager):
             return "disk"
         if (
             self.config.cost_aware_enabled
-            and self.lineage.knowledge_complete
             and self.lineage.future_refs(victim.rdd_id, inclusive=False) == 0
+            and self.lineage.refs_exhaustive(victim.rdd_id)
         ):
             # No references beyond the currently executing stage: disk
             # persistence buys nothing after this stage, and any remaining
@@ -757,42 +782,48 @@ class BlazeCacheManager(CacheManager):
     # ------------------------------------------------------------------
     def _run_ilp(self, job: "Job") -> None:
         cfg = self.config
-        horizon_last = job.job_id + cfg.ilp_horizon_jobs - 1
+        horizon_first = job.seq_in_stream
+        horizon_last = horizon_first + cfg.ilp_horizon_jobs - 1
+        # references within the horizon, per dataset (residency-independent)
+        weights: dict[int, int] = {}
         for executor in self.cluster.executors:
-            blocks = executor.bm.cached_blocks()
-            if not blocks:
+            # What the refinement rounds do not change: each block's horizon
+            # weight and Eq. 3 cost, and the memory held by blocks the
+            # horizon never touches.
+            sizes: dict = {}
+            weighted, reserved = [], 0.0
+            for block in executor.bm.cached_blocks():
+                weight = weights.get(block.rdd_id)
+                if weight is None:
+                    weight = weights[block.rdd_id] = self.lineage.refs_in_window(
+                        block.rdd_id, horizon_first, horizon_last
+                    )
+                if weight == 0:
+                    # No use within the horizon: leave the block where
+                    # it is (total-future-ref accounting handles it).
+                    if executor.bm.location_of(block.block_id) is BlockLocation.MEMORY:
+                        reserved += block.size_bytes
+                    continue
+                cost_d = self.cost_model.cost_d(block.rdd_id, block.split, sizes)
+                weighted.append((block, float(weight), cost_d))
+            if not weighted:
                 continue
             planned: dict[BlockId, PartitionState] = {}
             for _round in range(cfg.ilp_refinement_rounds):
                 state_fn = self._hypothetical_state_fn(planned)
-                memo: dict = {}
-                items, reserved = [], 0.0
-                for block in blocks:
-                    weight = self.lineage.refs_in_window(
-                        block.rdd_id, job.job_id, horizon_last
+                memo = dict(sizes)
+                items = [
+                    IlpItem(
+                        key=block.block_id,
+                        size_bytes=block.size_bytes,
+                        cost_d=cost_d,
+                        cost_r=self.cost_model.cost_r(
+                            block.rdd_id, block.split, state_fn, memo
+                        ),
+                        weight=weight,
                     )
-                    if weight == 0:
-                        # No use within the horizon: leave the block where
-                        # it is (total-future-ref accounting handles it).
-                        if executor.bm.location_of(block.block_id) is BlockLocation.MEMORY:
-                            reserved += block.size_bytes
-                        continue
-                    items.append(
-                        IlpItem(
-                            key=block.block_id,
-                            size_bytes=block.size_bytes,
-                            cost_d=self.cost_model.cost_d(
-                                block.rdd_id, block.split, memo
-                            ),
-                            cost_r=self.cost_model.cost_r(
-                                block.rdd_id, block.split, state_fn, memo
-                            ),
-                            weight=float(weight),
-                        )
-                    )
-                if not items:
-                    planned = {}
-                    break
+                    for block, weight, cost_d in weighted
+                ]
                 capacity = max(executor.bm.memory.capacity_bytes - reserved, 0.0)
                 disk_cap = (
                     executor.bm.disk.capacity_bytes if cfg.constrain_disk else None

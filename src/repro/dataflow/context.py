@@ -53,6 +53,8 @@ class BlazeContext(JobClient):
             scale_schedule=scale_schedule,
         )
         super().__init__(service, tenant=DEFAULT_TENANT, seed=seed)
+        # The one application starts now (what ``JobService.session`` does).
+        service.cache_manager.on_stream_open(self.stream)
 
     def stop(self) -> None:
         """Finish the application; further jobs are rejected.

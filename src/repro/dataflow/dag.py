@@ -68,6 +68,20 @@ class Stage:
         return f"<Stage {self.stage_id} {kind} rdd=R{self.rdd.rdd_id} tasks={self.num_tasks}>"
 
 
+class JobStream:
+    """One application's jobs, numbered in the order it submits them.
+
+    The driver numbers jobs fleet-wide; a cache manager that reasons about
+    an application's *future* (Blaze's reference streams) needs the job's
+    index on the application's own axis, which no other application's
+    arrivals can shift.
+    """
+
+    def __init__(self, name: str = "") -> None:
+        self.name = name
+        self.jobs_submitted = 0
+
+
 class Job:
     """An action-triggered execution: ordered stages ending in a result."""
 
@@ -77,10 +91,19 @@ class Job:
         final_rdd: "RDD",
         action_fn: Callable[[int, list], Any],
         stages: list[Stage],
+        stream: JobStream | None = None,
     ) -> None:
         if not stages or not stages[-1].is_result:
             raise DataflowError("a job must end with its result stage")
         self.job_id = job_id
+        #: the application this job belongs to, and the job's index on that
+        #: application's own axis; a job submitted outside any stream is
+        #: the driver's one application, indexed by the driver job id
+        self.stream = stream
+        self.seq_in_stream = job_id
+        if stream is not None:
+            self.seq_in_stream = stream.jobs_submitted
+            stream.jobs_submitted += 1
         self.final_rdd = final_rdd
         self.action_fn = action_fn
         self.stages = stages
@@ -133,7 +156,12 @@ def job_reference_sets(
     return out
 
 
-def build_job(job_id: int, final_rdd: "RDD", action_fn: Callable[[int, list], Any]) -> Job:
+def build_job(
+    job_id: int,
+    final_rdd: "RDD",
+    action_fn: Callable[[int, list], Any],
+    stream: JobStream | None = None,
+) -> Job:
     """Plan the stage DAG for an action on ``final_rdd``.
 
     Stages are deduplicated by shuffle id within the job, and the returned
@@ -175,4 +203,4 @@ def build_job(job_id: int, final_rdd: "RDD", action_fn: Callable[[int, list], An
         ordered.append(stage)
 
     visit(result)
-    return Job(job_id, final_rdd, action_fn, ordered)
+    return Job(job_id, final_rdd, action_fn, ordered, stream)

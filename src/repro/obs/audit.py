@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.cost_lineage import StreamReferences
 
 
 # NamedTuples, not frozen dataclasses: entries are constructed on the
@@ -146,12 +149,18 @@ class ExplainAnswer:
     ``as_subject`` holds the decisions *about* the block (its own
     admissions and rejections, newest last); ``as_victim`` the decisions
     that chose it as an eviction victim or ILP migration target.
+    ``references`` is who still references the dataset *now* — the current
+    application's stream, each parked one, the projected instance — read
+    from the lineage when the question is asked (empty for managers
+    without one): a partition with none never reaches an admission
+    decision, which is the usual answer to "why was this not cached?".
     """
 
     rdd_id: int
     split: int
     as_subject: tuple[AuditEntry, ...]
     as_victim: tuple[AuditEntry, ...]
+    references: "tuple[StreamReferences, ...]" = ()
 
     @property
     def found(self) -> bool:
@@ -167,7 +176,8 @@ class ExplainAnswer:
         """Human-readable narrative of the block's decision history."""
         head = f"block rdd={self.rdd_id} split={self.split}:"
         if not self.found:
-            return head + " no audited decision touched this block (ring may have wrapped)"
+            head += " no audited decision touched this block (ring may have wrapped)"
+            return "\n".join([head, *self._reference_lines()])
         lines = [head]
         for entry in sorted(self.as_subject + self.as_victim, key=lambda e: e.seq):
             if entry in self.as_victim:
@@ -202,11 +212,29 @@ class ExplainAnswer:
             lines.append(
                 f"  [seq {entry.seq} t={entry.ts:.6f} exec {entry.executor_id}] {what}"
             )
-        return "\n".join(lines)
+        return "\n".join(lines + self._reference_lines())
+
+    def _reference_lines(self) -> list[str]:
+        if not self.references:
+            return []
+        if not any(r.refs for r in self.references):
+            return [
+                "  0 future references in any open stream: nothing to cache it for"
+                " (such a partition is dropped before any admission decision)"
+            ]
+        lines = [f"  future references: {sum(r.refs for r in self.references)}"]
+        for r in self.references:
+            where = "not started" if r.position[0] < 0 else "job %d, stage %d" % r.position
+            then = f", next in its job {r.next_job}" if r.next_job is not None else ""
+            lines.append(f"    {r.role} stream {r.stream!r} ({where}): {r.refs}{then}")
+        return lines
 
 
 def explain_entries(
-    entries: tuple[AuditEntry, ...], rdd_id: int, split: int
+    entries: tuple[AuditEntry, ...],
+    rdd_id: int,
+    split: int,
+    references: "tuple[StreamReferences, ...]" = (),
 ) -> ExplainAnswer:
     """Query a snapshot of audit entries for one block's decision history."""
     as_subject = tuple(
@@ -220,5 +248,6 @@ def explain_entries(
         )
     )
     return ExplainAnswer(
-        rdd_id=rdd_id, split=split, as_subject=as_subject, as_victim=as_victim
+        rdd_id=rdd_id, split=split, as_subject=as_subject, as_victim=as_victim,
+        references=references,
     )

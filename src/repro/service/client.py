@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
+from ..dataflow.dag import JobStream
 from ..dataflow.operators import OpCost, SizeModel
 from ..dataflow.rdd import ParallelCollectionRDD, RDD, SourceRDD
 from ..errors import DataflowError, ServiceError
@@ -46,6 +47,10 @@ class JobClient:
         #: within this application (loop iterations rebuilding the same op).
         self._sig_counts: dict = {}
         self._stopped = False
+        #: this application's jobs, on its own job axis; the service tells
+        #: the cache manager when it opens (the application starts) and
+        #: :meth:`stop` when it closes.
+        self.stream = JobStream(f"{tenant}-session")
         #: set by the service for threaded (submitted) applications.
         self._app: "_AppRuntime | None" = None
 
@@ -183,7 +188,9 @@ class JobClient:
 
     def stop(self) -> None:
         """Finish this application; further jobs from it are rejected."""
-        self._stopped = True
+        if not self._stopped:
+            self._stopped = True
+            self.cache_manager.on_stream_close(self.stream)
 
     def __enter__(self) -> "JobClient":
         return self

@@ -245,7 +245,9 @@ class JobService:
         """
         if self._shutdown:
             raise ServiceError("service already shut down")
-        return JobClient(self, tenant=tenant, seed=seed)
+        client = JobClient(self, tenant=tenant, seed=seed)
+        self.cache_manager.on_stream_open(client.stream)
+        return client
 
     # ------------------------------------------------------------------
     # Submission API
@@ -285,6 +287,7 @@ class JobService:
             name=name or f"app{seq}",
         )
         client._app = app
+        client.stream.name = app.name
         self._apps.append(app)
         return JobHandle(app, self)
 
@@ -340,6 +343,9 @@ class JobService:
         app.started = True
         self.metrics.service_apps += 1
         self._trace_service("service.app_admitted", app)
+        # The cache manager learns of the application now, at its arrival
+        # on the virtual clock — never from the not-yet-arrived queue.
+        self.cache_manager.on_stream_open(app.client.stream)
         app.thread = threading.Thread(
             target=self._app_main, args=(app,),
             name=f"repro-{app.name}", daemon=True,
@@ -357,7 +363,7 @@ class JobService:
             app.finished = True
             app.state = "done"
             app.completion_time = self.cluster.clock.now
-            app.client._stopped = True
+            app.client.stop()
             app.yielded.set()
 
     def _grant(self, app: _AppRuntime) -> None:
@@ -389,7 +395,7 @@ class JobService:
         previous_tenant = tenancy.current_tenant
         tenancy.current_tenant = client.tenant
         try:
-            result = self.driver.run_job(final_rdd, action_fn)
+            result = self.driver.run_job(final_rdd, action_fn, client.stream)
         finally:
             tenancy.current_tenant = previous_tenant
         end = self.cluster.clock.now

@@ -24,6 +24,7 @@ containers as read-only.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -144,6 +145,10 @@ class RunReport:
     samples: tuple["Sample", ...] = field(default_factory=tuple)
     #: per-job latency records from the service scheduler
     job_records: tuple = field(default_factory=tuple)
+    #: the cache manager's lineage (``None`` for managers that keep none),
+    #: for :meth:`explain`'s live reference breakdown; weak, so a kept
+    #: report does not keep a finished run's lineage alive
+    lineage_ref: "weakref.ref | None" = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -152,6 +157,7 @@ class RunReport:
         m = ctx.metrics
         hub = getattr(ctx.cluster, "obs", None)
         service = getattr(ctx, "service", None)
+        lineage = getattr(ctx.cache_manager, "lineage", None)
         return cls(
             act_seconds=ctx.now,
             job_count=m.job_count,
@@ -182,6 +188,7 @@ class RunReport:
             audit_entries=hub.audit.entries if hub is not None else (),
             samples=hub.sampler.samples if hub is not None else (),
             job_records=tuple(service.job_records) if service is not None else (),
+            lineage_ref=weakref.ref(lineage) if lineage is not None else None,
         )
 
     # ------------------------------------------------------------------
@@ -307,11 +314,16 @@ class RunReport:
         Answers from the decision audit log: every entry where the
         partition was the admission subject, and every entry where it was
         chosen as a victim.  Empty (``found`` False) unless the run had
-        ``BlazeConfig.obs.enabled``.
+        ``BlazeConfig.obs.enabled``.  Under a lineage-keeping manager
+        (Blaze), and for as long as that manager is alive, the answer also
+        carries who references the dataset right now, stream by stream —
+        obs or not, it is a read of live state.
         """
         from ..obs.audit import explain_entries
 
-        return explain_entries(self.audit_entries, rdd_id, split)
+        lineage = self.lineage_ref() if self.lineage_ref is not None else None
+        references = lineage.reference_breakdown(rdd_id) if lineage is not None else ()
+        return explain_entries(self.audit_entries, rdd_id, split, references)
 
     def critical_path(self) -> "CriticalPathReport":
         """Attribute each job's end-to-end virtual latency to phases.

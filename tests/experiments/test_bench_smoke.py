@@ -5,9 +5,6 @@ layer a suite measures is actually engaged:
 
 - faults suite: the seeded schedule lands faults, the faulted run
   converges to the clean result, and the clean side injects nothing;
-- service suite: the multi-tenant stream replays byte-identically,
-  cross-application lineage dedup shares cached blocks across tenants,
-  and every tenant converges to the same result;
 - obs suite: the recording layer (audit log + sampler) is engaged on the
   obs-on side, fully dead on the obs-off side, leaves every observable
   (evictions, ILP nodes, virtual makespan) untouched, and costs < 10%
@@ -75,26 +72,6 @@ def test_bench_smoke_faults(tmp_path):
         assert cell["converged"] is True
         assert faulted["converged"] is True
         assert faulted["act_seconds"] >= clean["act_seconds"]
-
-
-def test_bench_smoke_service(tmp_path):
-    doc = _run_smoke(tmp_path, "--suite", "service")
-    service = doc["service"]
-    assert service["cells"], "smoke must produce at least one service cell"
-    assert service["num_tenants"] >= 2
-    assert service["all_deterministic"] is True
-    for cell in service["cells"]:
-        # The stream is interleaved and replayable.
-        assert cell["deterministic"] is True
-        assert cell["jobs"] > cell["apps"] >= 4
-        # Cross-application dedup shares cached blocks across tenants ...
-        assert cell["gids_deduped"] > 0
-        assert cell["shared_hits"] > 0
-        assert cell["shared_hit_bytes"] > 0
-        assert cell["hit_ratio"] > 0
-        # ... without changing any tenant's answer.
-        assert cell["results_identical"] is True
-        assert cell["latency_p99"] >= cell["latency_p50"] > 0
 
 
 def test_bench_smoke_obs(tmp_path):
