@@ -301,7 +301,6 @@ class BlazeConfig:
     # ILP (section 5.5): optimize partitions of the current job plus this
     # many upcoming jobs; the paper uses the current and the next job.
     ilp_horizon_jobs: int = 2
-    ilp_time_budget_seconds: float = 5.0
     ilp_backend: str = "exact"  # "exact" (branch and bound) or "greedy"
     # Re-solve with updated recomputation costs until the memory set is
     # stable, at most this many rounds (cost_r depends on residency).

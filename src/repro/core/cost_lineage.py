@@ -12,12 +12,11 @@ layers partition metrics on top.  What it knows splits in two:
 
 **Per application** — a :class:`ReferenceStream`, positioned on that
 application's *own* job index (its first job is job 0, whatever the
-driver-global job id):
-
-- references: real / estimated / recurrent events, the ``(job, stage)``
-  position, the detected iteration cycle mapping datasets to
-  (role, iteration) coordinates, and whether the stream's knowledge of its
-  own future is complete.
+driver-global job id).  References are a model, not stored events: a
+stream keeps its *real* events and predicts the rest per dataset, on
+demand, from its adopted template (for jobs not yet run), its iteration
+cycle's role offsets and its recurrent-dataset watermarks, up to a
+horizon the UDL advances once per submit.
 
 ``future_refs`` — the one number admission, eviction weights and
 auto-unpersist hang on — is the *sum over every open stream*: the current
@@ -29,8 +28,8 @@ The paper's induction is lifted one level, from iterations to
 applications: a :class:`StreamTemplate` is what one application's stream
 looked like from start to end (the seeded profile is the first one; a
 closed stream that instantiated none becomes one).  A newly opened stream
-adopts a template's events as estimates that its real captures replace job
-by job, and when two of the last three closed streams instantiated the
+adopts a template as the prediction its real captures overrule job by
+job, and when two of the last three closed streams instantiated the
 same template, one not-yet-arrived instance of it is *projected* — the
 recurrent-dataset rule applied to applications — so shared datasets keep
 references across the idle gap between arrivals.
@@ -41,8 +40,8 @@ the driver advances the current stream's position as stages complete.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from collections import deque
+from bisect import bisect_left, bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
@@ -129,7 +128,12 @@ class StreamTemplate:
 
 
 class ReferenceStream:
-    """One application's reference events, on its own job axis."""
+    """One application's references, on its own job axis.
+
+    Real events are stored; the rest is predicted per dataset from the
+    model, so answers never depend on the order in which queries or other
+    datasets' predictions ran.
+    """
 
     def __init__(self, lineage: "CostLineage", name: str = "") -> None:
         self._lineage = lineage
@@ -138,234 +142,148 @@ class ReferenceStream:
         self.template: StreamTemplate | None = None
         #: real captures in job order (what a closed stream is remembered by)
         self.captures: list[JobCapture] = []
-        # ---- reference events
+        # ---- the model
         self._events: dict[int, set[Position]] = {}
-        self._estimated_events: dict[int, set[Position]] = {}
-        # projections from the recurrent-dataset rule, kept apart so a
-        # later cycle detection can supersede them without touching
-        # template-seeded estimates
-        self._recurrent_events: dict[int, set[Position]] = {}
-        self._sorted_cache: dict[int, list[Position]] = {}
-        # per-job count of physical (bucket, rdd, position) event entries,
-        # so max_job_seq never rescans the buckets
-        self._job_event_counts: dict[int, int] = {}
-        self._max_job_seq = -1
-        # ---- job stream bookkeeping
-        self._ingested_jobs: set[int] = set()
+        self._template_events: dict[int, set[Position]] = {}
+        self._template_jobs: frozenset[int] = frozenset()
+        self._real_last = -1
         self._new_ids_per_job: dict[int, list[int]] = {}
         self.seen_ids: set[int] = set()
         self.cycle: CycleInfo | None = None
+        #: last job induction predicts references for (monotone)
+        self.horizon = -1
+        # recurrent-dataset rule: dataset -> last job it is predicted in
+        self._recurrent_through: dict[int, int] = {}
+        #: total number of jobs the application will submit, when known
+        #: (a complete template captured a run to its end)
+        self.expected_total_jobs: int | None = None
+        # ---- derived from the model, rebuilt lazily after it changes
+        self._sorted_cache: dict[int, list[Position]] = {}
+        self._offsets: dict[int, set[int]] | None = None
         # ---- progress
         self.position: Position = (-1, -1)
-        #: whether future references can be trusted to be exhaustive: true
-        #: once a complete template is adopted or an iteration cycle has
-        #: been detected (until then, "zero future refs" may just mean "not
-        #: yet known", and unpersisting on it would destroy reused data).
-        self.knowledge_complete = False
-        #: total number of jobs the application will submit, when known
-        #: (a complete template captured a run to its end); bounds pattern
-        #: extension so no references are projected past the end.
-        self.expected_total_jobs: int | None = None
+
+    @property
+    def knowledge_complete(self) -> bool:
+        """Can future references be trusted to be exhaustive?
+
+        Yes once the model predicts the whole future: a complete template,
+        a detected iteration cycle, or a dataset the recurrent rule holds
+        for.  Until then, "zero future refs" may just mean "not yet known",
+        and unpersisting on it would destroy reused data.
+        """
+        return (
+            self.expected_total_jobs is not None
+            or self.cycle is not None
+            or bool(self._recurrent_through)
+        )
 
     # ------------------------------------------------------------------
-    # Reference-event ingestion
+    # The model: captures, template, cycle, horizon
     # ------------------------------------------------------------------
     def adopt(self, template: StreamTemplate) -> None:
-        """Take a template's events as estimates of this stream's future."""
+        """Take a template as the prediction of this stream's jobs."""
         self.template = template
+        self._template_jobs = frozenset(c.job_seq for c in template.captures)
         for capture in template.captures:
-            self.ingest_capture(capture, estimated=True)
+            self._add(capture, self._template_events)
         if template.complete:
-            self.knowledge_complete = True
-            if template.captures:
-                self.expected_total_jobs = max(c.job_seq for c in template.captures) + 1
+            self.expected_total_jobs = max(self._template_jobs, default=-1) + 1
+        self._changed()
 
-    def ingest_capture(self, capture: JobCapture, estimated: bool = False) -> None:
-        """Merge one job's stage references into the stream.
+    def ingest_capture(self, capture: JobCapture) -> None:
+        """Merge one real job's stage references into the stream.
 
-        Real (non-estimated) ingestion of a job sequence *replaces* any
-        events previously estimated for it (predictions yield to reality).
+        Predictions for a job yield to its real capture: from here on, the
+        template and induction only speak for later jobs.
         """
-        job_seq = capture.job_seq
-        if not estimated:
-            self._drop_estimates_for_job(job_seq)
-            self._ingested_jobs.add(job_seq)
-            self.captures.append(capture)
-        bucket_map = self._estimated_events if estimated else self._events
+        self.captures.append(capture)
+        self._real_last = max(self._real_last, capture.job_seq)
+        self._add(capture, self._events)
+        self._changed()
+
+    def _add(self, capture: JobCapture, events: dict[int, set[Position]]) -> None:
         new_ids: list[int] = []
-        changed = False
         for stage in capture.stages:
-            position = (job_seq, stage.seq)
+            position = (capture.job_seq, stage.seq)
             for rdd_id in stage.rdd_ids:
-                events = bucket_map.setdefault(rdd_id, set())
-                if position not in events:
-                    events.add(position)
-                    self._note_event_added(rdd_id, position, bucket_map)
-                    changed = True
+                events.setdefault(rdd_id, set()).add(position)
                 if rdd_id not in self.seen_ids:
                     self.seen_ids.add(rdd_id)
                     new_ids.append(rdd_id)
-        if changed:
-            self._lineage.version += 1
         if new_ids:
-            self._new_ids_per_job.setdefault(job_seq, []).extend(new_ids)
+            self._new_ids_per_job.setdefault(capture.job_seq, []).extend(new_ids)
             self._refresh_cycle()
-
-    # -- event bookkeeping: counts feed max_job_seq, the sorted cache is
-    # -- repaired in place instead of being rebuilt on next query
-    def _note_event_added(self, rdd_id: int, position: Position, bucket: dict) -> None:
-        job_seq = position[0]
-        self._job_event_counts[job_seq] = self._job_event_counts.get(job_seq, 0) + 1
-        if job_seq > self._max_job_seq:
-            self._max_job_seq = job_seq
-        cached = self._sorted_cache.get(rdd_id)
-        if cached is not None and not any(
-            position in other.get(rdd_id, ())
-            for other in (self._events, self._estimated_events, self._recurrent_events)
-            if other is not bucket
-        ):
-            insort(cached, position)
-
-    def _note_event_removed(self, rdd_id: int, position: Position) -> None:
-        job_seq = position[0]
-        count = self._job_event_counts.get(job_seq, 0) - 1
-        if count > 0:
-            self._job_event_counts[job_seq] = count
-        else:
-            self._job_event_counts.pop(job_seq, None)
-            if job_seq == self._max_job_seq:
-                self._max_job_seq = (
-                    max(self._job_event_counts) if self._job_event_counts else -1
-                )
-
-    def _drop_estimates_for_job(self, job_seq: int) -> None:
-        changed = False
-        for bucket in (self._estimated_events, self._recurrent_events):
-            for rdd_id, events in list(bucket.items()):
-                stale = {e for e in events if e[0] == job_seq}
-                if stale:
-                    events -= stale
-                    for position in stale:
-                        self._note_event_removed(rdd_id, position)
-                    self._sorted_cache.pop(rdd_id, None)
-                    changed = True
-        if changed:
-            self._lineage.version += 1
 
     def _refresh_cycle(self) -> None:
         if not self._lineage.induction_enabled:
             return
-        ordered = [self._new_ids_per_job.get(j, []) for j in range(self.max_job_seq() + 1)]
-        cycle = detect_cycle(ordered)
+        new_ids = self._new_ids_per_job
+        cycle = detect_cycle([new_ids.get(j, []) for j in range(max(new_ids) + 1)])
         if cycle is not None and cycle != self.cycle:
             self.cycle = cycle
-            self.knowledge_complete = True
             lineage = self._lineage
             lineage.metrics.role_fn = lineage.prior.role_fn = lineage._role_of
-            # Role-based extension supersedes the cruder recurrent-dataset
-            # projections made before the cycle was known.
-            for rdd_id, events in self._recurrent_events.items():
-                for position in events:
-                    self._note_event_removed(rdd_id, position)
-            self._recurrent_events.clear()
-            self._sorted_cache.clear()
-            self._lineage.version += 1
+            # role offsets supersede the cruder recurrent-dataset rule
+            self._recurrent_through.clear()
 
-    def max_job_seq(self) -> int:
-        """Largest job sequence with any (real or estimated) events.
+    def _changed(self) -> None:
+        self._sorted_cache.clear()
+        self._offsets = None
+        self._lineage.version += 1
 
-        Tracked incrementally as events are added and removed; this is a
-        hot query (cycle refresh, pattern extension) and must not rescan
-        the event buckets.
+    def predict_through(self, job: int) -> None:
+        """Let induction predict references up to ``job`` (once per submit).
+
+        Role offsets apply up to the horizon; a dataset without a cycle role
+        that two of the last three captures referenced is predicted in every
+        job up to ``job``, and stays so even if the rule stops holding.
+        Neither rule runs under a complete template: it enumerates every job.
         """
-        return self._max_job_seq
+        if not self._lineage.induction_enabled or self.expected_total_jobs is not None:
+            return
+        changed = job > self.horizon
+        self.horizon = max(self.horizon, job)
+        real_last, cycle = self._real_last, self.cycle
+        if real_last >= 1 and job > real_last:
+            recent = Counter(r for c in self.captures[-3:] for r in c.rdd_ids())
+            for rdd_id, jobs in recent.items():
+                if jobs >= 2 and (cycle is None or cycle.role_of(rdd_id) is None):
+                    if self._recurrent_through.get(rdd_id, -1) < job:
+                        self._recurrent_through[rdd_id] = job
+                        changed = True
+        if changed:
+            self._changed()
 
-    # ------------------------------------------------------------------
-    # Induction of future iterations (truncated profiles / on-the-run)
-    # ------------------------------------------------------------------
-    def extend_with_pattern(self, up_to_job: int) -> int:
-        """Project reference events for jobs beyond what has been captured.
-
-        Two induction rules:
-
-        - *role extension* (when an iteration cycle is detected): a dataset
-          at (role, iteration) inherits the job offsets at which congruent
-          datasets of earlier iterations were referenced;
-        - *recurrent datasets*: a dataset referenced by at least two of
-          the last three known jobs (and carrying no cycle role) is
-          assumed to be referenced by every job up to ``up_to_job``.
-
-        A successful projection marks the stream's knowledge complete: the
-        future is now a model rather than a blank.  Returns the number of
-        events added.
-        """
-        if not self._lineage.induction_enabled:
-            return 0
-        if self.expected_total_jobs is not None:
-            if self.max_job_seq() >= self.expected_total_jobs - 1:
-                return 0  # a complete template already enumerates every job
-            up_to_job = min(up_to_job, self.expected_total_jobs - 1)
-        # The recurrent rule anchors on the *real* job stream: projections
-        # of one dataset must not push the reference window past another's
-        # actual references.
-        real_last = max(self._ingested_jobs, default=-1)
-        last_known = self.max_job_seq()
-        if real_last < 1 and up_to_job <= last_known:
-            return 0
-        cycle = self.cycle
-
-        # Offsets D_rho: for each role, jobs (relative to the dataset's own
-        # iteration job) at which the role is referenced.
-        offsets: dict[int, set[int]] = {}
-        if cycle is not None:
+    def _role_offsets(self) -> dict[int, set[int]]:
+        """D_rho: per role, the jobs (relative to a dataset's own iteration
+        job) at which the role's datasets were really referenced."""
+        if self._offsets is None:
+            cycle, self._offsets = self.cycle, {}
             for rdd_id, events in self._events.items():
                 role = cycle.role_of(rdd_id)
-                if role is None:
-                    continue
-                role_idx, iteration = role
-                own_job = cycle.start_job + iteration
-                for job_seq, _stage in events:
-                    offsets.setdefault(role_idx, set()).add(job_seq - own_job)
+                if role is not None:
+                    own_job = cycle.start_job + role[1]
+                    self._offsets.setdefault(role[0], set()).update(
+                        job - own_job for job, _stage in events
+                    )
+        return self._offsets
 
-        added = 0
-        for rdd_id in list(self.seen_ids):
-            role = cycle.role_of(rdd_id) if cycle is not None else None
-            all_events = self._events.get(rdd_id, set()) | self._estimated_events.get(rdd_id, set())
-            if role is None:
-                if real_last < 1:
-                    continue
-                ref_jobs = {j for j, _ in all_events}
-                recent = ref_jobs & {real_last, real_last - 1, real_last - 2}
-                if len(recent) >= 2:
-                    for j in range(real_last + 1, up_to_job + 1):
-                        if self._add_estimated(rdd_id, (j, 0), recurrent=True):
-                            added += 1
-                continue
-            role_idx, iteration = role
-            own_job = cycle.start_job + iteration
-            for delta in offsets.get(role_idx, ()):
+    def _predicted(self, rdd_id: int) -> set[Position]:
+        """Real events, plus template and induced ones for jobs not yet run."""
+        real_last, last = self._real_last, self.horizon
+        events = set(self._events.get(rdd_id, ()))
+        events.update(p for p in self._template_events.get(rdd_id, ()) if p[0] > real_last)
+        through = self._recurrent_through.get(rdd_id, -1)
+        events.update((j, 0) for j in range(real_last + 1, through + 1))
+        role = self.cycle.role_of(rdd_id) if self.cycle is not None else None
+        if role is not None:
+            own_job = self.cycle.start_job + role[1]
+            for delta in self._role_offsets().get(role[0], ()):
                 j = own_job + delta
-                if max(last_known, real_last) < j <= up_to_job:
-                    if self._add_estimated(rdd_id, (j, 0)):
-                        added += 1
-        if added:
-            self.knowledge_complete = True
-        return added
-
-    def _add_estimated(self, rdd_id: int, position: Position, recurrent: bool = False) -> bool:
-        bucket = self._recurrent_events if recurrent else self._estimated_events
-        events = bucket.setdefault(rdd_id, set())
-        if (
-            position in events
-            or position in self._events.get(rdd_id, ())
-            or position in self._estimated_events.get(rdd_id, ())
-            or position in self._recurrent_events.get(rdd_id, ())
-        ):
-            return False
-        events.add(position)
-        self._note_event_added(rdd_id, position, bucket)
-        self._lineage.version += 1
-        return True
+                if real_last < j <= last and j not in self._template_jobs:
+                    events.add((j, 0))
+        return events
 
     # ------------------------------------------------------------------
     # Progress + per-stream reference queries
@@ -390,23 +308,13 @@ class ReferenceStream:
             return _NO_EVENTS
         cached = self._sorted_cache.get(rdd_id)
         if cached is None:
-            merged = (
-                self._events.get(rdd_id, set())
-                | self._estimated_events.get(rdd_id, set())
-                | self._recurrent_events.get(rdd_id, set())
-            )
-            cached = sorted(merged)
-            self._sorted_cache[rdd_id] = cached
+            cached = self._sorted_cache[rdd_id] = sorted(self._predicted(rdd_id))
         return cached
 
     def remaining_refs(self, rdd_id: int, inclusive: bool = True) -> int:
         """Events at (``inclusive``) or after the stream's position."""
         events = self.sorted_events(rdd_id)
-        if inclusive:
-            idx = bisect_left(events, self.position)
-        else:
-            idx = bisect_right(events, self.position)
-        return len(events) - idx
+        return len(events) - (bisect_left if inclusive else bisect_right)(events, self.position)
 
     def refs_in_jobs(self, rdd_id: int, first_job: int, last_job: int) -> int:
         events = self.sorted_events(rdd_id)
@@ -619,8 +527,8 @@ class CostLineage:
 
     # -- the current stream's state under the names a one-application
     # -- lineage always had
-    def ingest_capture(self, capture: JobCapture, estimated: bool = False) -> None:
-        """Merge one job's references into the current stream.
+    def ingest_capture(self, capture: JobCapture) -> None:
+        """Merge one real job's references into the current stream.
 
         A stream's first real capture is when it learns what it is: it
         adopts the first recent template whose datasets cover the
@@ -628,16 +536,16 @@ class CostLineage:
         touch shrinks with what is already cached).
         """
         stream = self.current
-        if not estimated and stream.template is None and not stream.captures:
+        if stream.template is None and not stream.captures:
             rdd_ids = capture.rdd_ids()
             for template in dict.fromkeys(self._recent):
                 if rdd_ids <= template.rdd_ids():
                     stream.adopt(template)
                     break
-        stream.ingest_capture(capture, estimated)
+        stream.ingest_capture(capture)
 
-    def extend_with_pattern(self, up_to_job: int) -> int:
-        return self.current.extend_with_pattern(up_to_job)
+    def predict_through(self, job: int) -> None:
+        self.current.predict_through(job)
 
     def set_position(self, job_seq: int, stage_seq: int) -> None:
         self.current.set_position(job_seq, stage_seq)
@@ -650,17 +558,9 @@ class CostLineage:
     def knowledge_complete(self) -> bool:
         return self.current.knowledge_complete
 
-    @knowledge_complete.setter
-    def knowledge_complete(self, value: bool) -> None:
-        self.current.knowledge_complete = value
-
     @property
     def expected_total_jobs(self) -> int | None:
         return self.current.expected_total_jobs
-
-    @expected_total_jobs.setter
-    def expected_total_jobs(self, value: int | None) -> None:
-        self.current.expected_total_jobs = value
 
     # ------------------------------------------------------------------
     # Reference queries: sums over every counted stream

@@ -594,6 +594,3 @@ class VictimIndex:
         if freed < needed_bytes or own_freed < own_need:
             return None, scanned
         return victims, scanned
-
-    def __len__(self) -> int:
-        return len(self._blocks)

@@ -335,7 +335,7 @@ class BlazeCacheManager(CacheManager):
             capture_job(job, is_stage_skipped=skipped, materialized=self._materialized_ids)
         )
         self.lineage.set_position(job.seq_in_stream, 0)
-        self.lineage.extend_with_pattern(job.seq_in_stream + self.config.ilp_horizon_jobs)
+        self.lineage.predict_through(job.seq_in_stream + self.config.ilp_horizon_jobs)
         if self.config.ilp_enabled:
             self._run_ilp(job)
 

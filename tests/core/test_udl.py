@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import BlazeConfig
+from repro.core.cost_lineage import JobCapture, StageRef, StreamTemplate
 from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
@@ -32,7 +33,9 @@ def test_never_caches_single_use_data():
     ctx, manager = make_blaze_ctx()
     src = ctx.source(lambda s, rng: [1.0] * 4, 2, size_model=SizeModel(bytes_per_element=MB))
     src.cache()  # annotation is ignored once knowledge is complete
-    manager.lineage.knowledge_complete = True
+    # a complete profile: one job that reads src once, then the app ends
+    read_once = JobCapture(0, (StageRef(0, (src.rdd_id,)),))
+    manager.lineage.current.adopt(StreamTemplate((read_once,), complete=True))
     src.count()
     assert ctx.cluster.memory_used_bytes() == 0
 
@@ -52,12 +55,12 @@ def test_auto_unpersist_drops_dead_data():
 
 def test_auto_unpersist_guarded_while_knowledge_incomplete():
     ctx, manager = make_blaze_ctx()
-    manager.lineage.knowledge_complete = False
+    assert not manager.lineage.knowledge_complete
     src = ctx.source(lambda s, rng: [1.0] * 4, 2, size_model=SizeModel(bytes_per_element=MB))
     src.cache()
     src.count()
     occupied = ctx.cluster.memory_used_bytes()
-    manager.lineage.knowledge_complete = False  # stays incomplete
+    assert not manager.lineage.knowledge_complete  # one job: nothing to induce from
     ctx.parallelize([1], 1).count()
     assert ctx.cluster.memory_used_bytes() == occupied, "no unpersist on unknown refs"
 

@@ -75,10 +75,10 @@ def test_blaze_field_override():
 
 
 def test_blaze_override_stacks_on_preset_overrides():
-    spec = make_system("autocache", ilp_time_budget_seconds=1.0)
+    spec = make_system("autocache", ilp_refinement_rounds=1)
     manager = spec.build()
     assert manager.config.cost_aware_enabled is False, "preset flag kept"
-    assert manager.config.ilp_time_budget_seconds == 1.0
+    assert manager.config.ilp_refinement_rounds == 1
 
 
 def test_blaze_unknown_field_rejected():
