@@ -94,7 +94,10 @@ class Driver:
         action_fn: Callable[[int, list], Any],
         stream: JobStream | None = None,
     ) -> list:
-        """Plan, schedule, and run one action; returns per-partition results.
+        """Plan, schedule, and run one action; returns per-split results.
+
+        One result per split that runs (``ShuffleManager.splits``): every
+        partition, except in the profiling sandbox.
 
         ``stream`` is the submitting application's job stream (see
         :class:`~repro.dataflow.dag.JobStream`).
@@ -108,7 +111,7 @@ class Driver:
         )
         self.cache_manager.on_job_submit(job)
 
-        results: list = [None] * final_rdd.num_partitions
+        results: list = [None] * len(self.cluster.shuffle.splits(final_rdd.num_partitions))
         for stage in job.stages_to_run:
             if not stage.is_result and self.cluster.shuffle.is_complete(stage.shuffle_dep):
                 continue  # skipped stage: shuffle outputs already exist
@@ -158,7 +161,7 @@ class Driver:
         def fully_cached(rdd: "RDD") -> bool:
             if not self.cache_manager.is_cache_candidate(rdd):
                 return False
-            for split in range(rdd.num_partitions):
+            for split in self.cluster.shuffle.splits(rdd.num_partitions):
                 home = self.cluster.executor_for(split)
                 if home.bm.location_of((rdd.rdd_id, split)) is None:
                     return False
@@ -187,7 +190,7 @@ class Driver:
     def _run_stage(self, stage: Stage, job: Job, results: list) -> None:
         tasks = [
             TaskSlot(split=s, executor=self.cluster.executor_for(s))
-            for s in range(stage.num_tasks)
+            for s in self.cluster.shuffle.splits(stage.num_tasks)
         ]
 
         faults = self.faults

@@ -11,6 +11,7 @@ cost model reasons about.
 
 from __future__ import annotations
 
+import sys
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -88,19 +89,33 @@ class ShuffleManager:
         self._outputs: dict[int, dict[int, dict[int, list]]] = {}
         # shuffle_id -> id of the job whose execution produced the outputs
         self._producer_job: dict[int, int] = {}
+        #: how many leading splits of a dataset run: unbounded, except in
+        #: the profiling sandbox, which samples one wave per stage
+        self.split_limit = sys.maxsize
 
     # ------------------------------------------------------------------
+    def splits(self, num_partitions: int) -> range:
+        """The splits of a ``num_partitions``-wide dataset that run.
+
+        A stage runs exactly these tasks, and a shuffle is complete when
+        exactly these map splits have registered, so the driver asks here
+        for its stage splits too.
+        """
+        return range(min(num_partitions, self.split_limit))
+
     def is_map_output_present(self, dep: ShuffleDependency, map_split: int) -> bool:
         return map_split in self._outputs.get(dep.shuffle_id, {})
 
     def is_complete(self, dep: ShuffleDependency) -> bool:
-        """True when every map partition has registered its buckets."""
+        """True when every map split that runs has registered its buckets."""
         present = self._outputs.get(dep.shuffle_id)
-        return present is not None and len(present) == dep.parent.num_partitions
+        return present is not None and len(present) == len(
+            self.splits(dep.parent.num_partitions)
+        )
 
     def missing_map_splits(self, dep: ShuffleDependency) -> list[int]:
         present = self._outputs.get(dep.shuffle_id, {})
-        return [s for s in range(dep.parent.num_partitions) if s not in present]
+        return [s for s in self.splits(dep.parent.num_partitions) if s not in present]
 
     def release(self) -> None:
         """Drop every registered shuffle output (context shutdown)."""
@@ -233,7 +248,7 @@ class ShuffleManager:
         per_map = self._outputs[dep.shuffle_id]
         return [
             per_map[map_split].get(reduce_split, ())
-            for map_split in range(dep.parent.num_partitions)
+            for map_split in self.splits(dep.parent.num_partitions)
         ]
 
     def charge_fetch(

@@ -102,11 +102,11 @@ class DecisionCostCache:
         #: True when any stability probe failed in the current epoch —
         #: i.e. some live scratch/memo value may derive from a regression
         self._epoch_has_unstable = False
-        # affected-partition sets per touched partition, memoized per
-        # structure version (the split mapping also uses num_splits, whose
-        # changes bump structure_version)
-        self._affected: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._affected_version = -1
+        # per touched dataset, its descendants and the split mapping onto
+        # them, memoized per structure version (the mapping also uses
+        # num_splits, whose changes bump structure_version)
+        self._plans: dict[int, tuple[tuple[int, int, tuple], ...]] = {}
+        self._plans_version = -1
         # (rdd, split) pairs proven stable; monotone under observations,
         # reset only if the graph topology changes
         self._stable_true: set[tuple[int, int]] = set()
@@ -117,51 +117,71 @@ class DecisionCostCache:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def _affected_pairs(self, rdd_id: int, split: int) -> tuple[tuple[int, int], ...]:
+    def _descendant_plan(self, rdd_id: int) -> tuple[tuple[int, int, tuple], ...]:
+        """The descendants of a dataset, for :meth:`_affected_pairs`.
+
+        Per descendant in topological order: its split count, and its
+        parents inside the set with theirs.  Memoized per dataset rather
+        than per partition: deep lineages would otherwise keep one long
+        pair tuple per touched partition.
+        """
+        if self._plans_version != self.lineage.structure_version:
+            self._plans.clear()
+            self._plans_version = self.lineage.structure_version
+        plan = self._plans.get(rdd_id)
+        if plan is not None:
+            return plan
+        lineage = self.lineage
+        children_of = lineage.children_of
+        # reverse DFS postorder from the touched dataset
+        postorder: list[int] = []
+        seen = {rdd_id}
+        stack = [(rdd_id, iter(children_of(rdd_id)))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append((child, iter(children_of(child))))
+                    break
+            else:
+                stack.pop()
+                postorder.append(node)
+        order = postorder[-2::-1]
+        ns = {r: max(lineage.num_splits_of(r), 1) for r in seen}
+        plan = tuple(
+            (d, ns[d], tuple((p, ns[p]) for p in set(lineage.parents_of(d)) if p in seen))
+            for d in order
+        )
+        self._plans[rdd_id] = plan
+        return plan
+
+    def _affected_pairs(self, rdd_id: int, split: int) -> list[tuple[int, int]]:
         """Every (rdd, split) whose cost recursion can reach (rdd_id, split).
 
         The recursion maps a partition to parent split ``s % max(ns_p, 1)``,
         so partition (C, s) depends on (P, p) iff ``s % max(ns_P, 1) == p``
-        along some ancestor path.  Inverting edge by edge over the children
-        adjacency yields the dependents; with co-partitioned iterative
-        lineages this stays one split per descendant dataset.
+        along some ancestor path.  Inverting edge by edge over the
+        descendants yields the dependents; with co-partitioned iterative
+        lineages this is the touched split itself in every descendant.
         """
-        if self._affected_version != self.lineage.structure_version:
-            self._affected.clear()
-            self._affected_version = self.lineage.structure_version
-        key = (rdd_id, split)
-        cached = self._affected.get(key)
-        if cached is not None:
-            return cached
-        lineage = self.lineage
+        if split >= max(self.lineage.num_splits_of(rdd_id), 1):
+            # past the split count the lineage knows (e.g. a dataset it
+            # never registered): no recursion maps a split onto this one
+            return [(rdd_id, split)]
         affected: dict[int, set[int]] = {rdd_id: {split}}
-        worklist = [rdd_id]
-        while worklist:
-            current = worklist.pop()
-            splits = affected[current]
-            ns_current = max(lineage.num_splits_of(current), 1)
-            for child in lineage.children_of(current):
-                ns_child = max(lineage.num_splits_of(child), 1)
-                if ns_child == ns_current:
-                    # co-partitioned (the common iterative case):
-                    # s % ns == s, the mapping is the identity
-                    child_splits = set(splits)
+        for d, ns_d, parents in self._descendant_plan(rdd_id):
+            splits: set[int] = set()
+            for p, ns_p in parents:
+                parent_splits = affected[p]
+                if ns_p == ns_d:
+                    splits |= parent_splits
+                elif ns_d < ns_p:
+                    splits.update(s for s in parent_splits if s < ns_d)
                 else:
-                    child_splits = {
-                        s for s in range(ns_child) if s % ns_current in splits
-                    }
-                existing = affected.get(child)
-                if existing is None:
-                    affected[child] = child_splits
-                    worklist.append(child)
-                elif not child_splits <= existing:
-                    existing |= child_splits
-                    worklist.append(child)
-        pairs = tuple(
-            (r, s) for r, splits in affected.items() for s in splits
-        )
-        self._affected[key] = pairs
-        return pairs
+                    splits.update(c for s in parent_splits for c in range(s, ns_d, ns_p))
+            affected[d] = splits
+        return [(r, s) for r, splits in affected.items() for s in splits]
 
     def touch(self, rdd_id: int, split: int, residency: bool = False) -> None:
         """Residency (``residency=True``) or observed metrics of partition

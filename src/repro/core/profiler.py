@@ -10,6 +10,16 @@ The profiling run executes on a single-executor throwaway cluster with
 memory sized to avoid evictions, so it is cheap and side-effect free.  Its
 virtual duration is charged to the real run's completion time (the paper
 reports < 4 % overhead).
+
+The sample shrinks partitions as well as rows: each sandbox stage runs
+only its first ``total_slots`` splits, one wave, so a run over thousands
+of partitions still finishes inside the budget.  Datasets keep their
+real partition counts, so the captured jobs, stages and dependencies are
+those of the full run.  A reduce split then reads only the sampled map
+splits' buckets, so the priors downstream of a shuffle are scaled up by
+the map side's share that did not run.  Metric priors exist only for
+the splits that ran; the others get the dataset mean
+(``PartitionMetricsStore``).
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from typing import Any, Callable
 from ..cluster.blocks import Block
 from ..cluster.cachemanager import CacheManager
 from ..config import BlazeConfig, ClusterConfig, DiskConfig, GiB
+from ..dataflow.dependencies import ShuffleDependency
 from ..errors import ProfilingError
 from ..metrics.collector import TaskMetrics
 from ..tracing.tracer import NULL_TRACER, PROFILER_PID, Tracer
@@ -100,6 +111,7 @@ class _RecordingCacheManager(CacheManager):
         self._trace_to = trace_to
         self.profile = LineageProfile()
         self._materialized_ids: set[int] = set()
+        self._split_scales: dict[int, float] = {}
 
     # -- candidate selection mirrors plain Spark during the sample run
     def is_cache_candidate(self, rdd) -> bool:
@@ -142,14 +154,54 @@ class _RecordingCacheManager(CacheManager):
                 f"dependency extraction exceeded {self.timeout_seconds}s"
             )
 
+    def _split_scale(self, rdd) -> float:
+        """How many times more records a partition of ``rdd`` holds in the
+        real run than in the sandbox, beyond the row sample.
+
+        Only a shuffle thins a partition: a reduce split reads the buckets
+        of the sampled map splits alone.  Narrow dependencies pass the
+        factor on.  A dataset with several inputs takes the smallest: a
+        keyed merge of a whole input with a thinned one holds at least the
+        whole one's keys.  Partitions are observed parents first, so the
+        memo holds every parent already.
+        """
+        factor = self._split_scales.get(rdd.rdd_id)
+        if factor is None:
+            factor = min((self._dependency_scale(dep) for dep in rdd.deps), default=1.0)
+            self._split_scales[rdd.rdd_id] = factor
+        return factor
+
+    def _dependency_scale(self, dep) -> float:
+        scale = self._split_scale(dep.parent)
+        if not isinstance(dep, ShuffleDependency):
+            return scale
+        # Measured, not assumed from the split counts: map splits whose
+        # keys all land in their own reduce split (co-partitioned data)
+        # deliver their reduce splits' whole input.  In expectation every
+        # map split writes alike, so the map side's full output is what
+        # the sampled map splits wrote, times the map splits per sample.
+        shuffle = self.cluster.shuffle
+        n_map, n_reduce = dep.parent.num_partitions, dep.partitioner.num_partitions
+        per_reduce = [
+            sum(len(bucket) for bucket in shuffle.bucket_lists_for(dep, r))
+            for r in range(n_reduce)
+        ]
+        ran = shuffle.splits(n_reduce)
+        read = sum(per_reduce[r] for r in ran)
+        if not read:
+            return scale
+        written = sum(per_reduce) * n_map / len(shuffle.splits(n_map))
+        return scale * (written / n_reduce) / (read / len(ran))
+
     def on_partition_computed(
         self, rdd, split, n_in, n_out, compute_seconds, size_weight
     ) -> None:
         """Scale the sampled cardinalities through the operator's own models."""
         key = (rdd.rdd_id, split)
-        full_in = int(round(n_in * self.scale))
-        full_out = int(round(n_out * self.scale))
-        self.profile.sizes[key] = rdd.size_model.bytes_for(size_weight * self.scale)
+        scale = self.scale * self._split_scale(rdd)
+        full_in = int(round(n_in * scale))
+        full_out = int(round(n_out * scale))
+        self.profile.sizes[key] = rdd.size_model.bytes_for(size_weight * scale)
         self.profile.computes[key] = rdd.op_cost.seconds(full_in, full_out)
 
     def handle_cache(self, executor, rdd, split, data, size_bytes, tm: TaskMetrics) -> None:
@@ -200,7 +252,9 @@ def run_dependency_extraction(
         timeout_seconds=config.profiling_timeout_seconds,
         trace_to=tracer,
     )
-    ctx = BlazeContext(profiling_cluster_config(), manager, seed=seed, blaze_config=config)
+    sandbox = profiling_cluster_config()
+    ctx = BlazeContext(sandbox, manager, seed=seed, blaze_config=config)
+    ctx.cluster.shuffle.split_limit = sandbox.total_slots  # one wave per stage
     try:
         scaled_run_fn(ctx)
     except _ProfilingTimeout:

@@ -415,14 +415,11 @@ class BlazeCacheManager(CacheManager):
         tm: TaskMetrics,
     ) -> None:
         remaining_refs = self.lineage.future_refs(rdd.rdd_id, inclusive=False)
-        speculative = False
         if remaining_refs <= 0:
             if not rdd.is_annotated_cached or self.lineage.refs_exhaustive(rdd.rdd_id):
                 return  # no reuse ahead: never worth any storage
-            # Annotation fallback under incomplete knowledge: cache it only
-            # if it fits for free — no evictions, no disk writes — since the
-            # reuse is speculative.
-            speculative = True
+            # Under incomplete knowledge the user's ``.cache()`` is one
+            # promised reference, priced like a known one.
             remaining_refs = 1
         tenancy = self.cluster.tenancy
         block = Block(
@@ -433,16 +430,6 @@ class BlazeCacheManager(CacheManager):
             rdd_name=rdd.name,
             tenant=tenancy.current_tenant if tenancy is not None else None,
         )
-        if speculative:
-            placed = executor.bm.memory.fits(size_bytes)
-            if placed:
-                self._place_in_memory(executor.bm, block, False, self.cluster.clock.now)
-            if self.audit is not None:
-                self._audit_admission(
-                    executor, block, remaining_refs, from_disk=False,
-                    outcome="memory" if placed else "drop", reason="speculative",
-                )
-            return
         self._admit(executor, block, remaining_refs, tm, from_disk=False)
 
     def on_disk_hit(self, executor: "Executor", block: Block, tm: TaskMetrics) -> None:

@@ -57,8 +57,8 @@ class AuditEntry(NamedTuple):
     ``kind`` is ``"admit"``, ``"reject"``, or ``"ilp"``; ``reason`` names
     the branch that produced the outcome (``"free_space"``,
     ``"displaced"``, ``"admission"``, ``"no_victims"``, ``"too_big"``,
-    ``"speculative"``, ``"solve"``); ``outcome`` is where the subject
-    ended up (``"memory"``, ``"disk"``, ``"drop"``, ``"solved"``).
+    ``"solve"``); ``outcome`` is where the subject ended up
+    (``"memory"``, ``"disk"``, ``"drop"``, ``"solved"``).
     ``terms`` holds the scalar comparison terms as sorted name/value
     pairs (e.g. ``incoming_value`` vs ``displaced_value`` for Eq. 2
     admission, ``nodes_explored`` for ILP solves).

@@ -1,12 +1,16 @@
 """Unified Decision Layer behaviors on a controlled cluster."""
 
+from dataclasses import dataclass
+
 import pytest
 
-from repro.config import BlazeConfig
+from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, ObsConfig
 from repro.core.cost_lineage import JobCapture, StageRef, StreamTemplate
 from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
+from repro.experiments.runner import run_experiment
+from repro.workloads.base import Workload, WorkloadResult
 from conftest import make_cluster_config
 
 MB = 1024 * 1024
@@ -137,3 +141,66 @@ def test_future_state_discounts_dying_ancestors():
                 assert manager._future_state_of(src.rdd_id, block.split) == "gone"
                 return
     pytest.skip("src not cached in this configuration")
+
+
+@dataclass
+class _ExpensiveCachedBase(Workload):
+    """An annotated, costly base read by every iteration's ``reduce_by_key``."""
+
+    num_partitions: int = 32
+    rows: int = 4
+    iterations: int = 3
+
+    name = "expensive_cached_base"
+
+    def scaled(self, fraction: float) -> "_ExpensiveCachedBase":
+        return self
+
+    def run(self, ctx) -> WorkloadResult:
+        rows = self.rows
+        base = ctx.source(
+            lambda _split, rng: [(k, 1) for k in rng.integers(0, 64, rows).tolist()],
+            self.num_partitions, name="rows",
+        ).map(
+            lambda kv: kv, op_cost=OpCost(per_element_in=0.25),
+            size_model=SizeModel(bytes_per_element=MB), name="base",
+        ).cache()
+        total = 0
+        for i in range(self.iterations):
+            sums = base.reduce_by_key(lambda a, b: a + b, num_partitions=4, name=f"sums{i}")
+            total += sum(ctx.run_job(sums, lambda _s, part: sum(v for _k, v in part)))
+        return WorkloadResult(self.name, self.iterations, total)
+
+
+def test_truncated_profile_spills_annotated_blocks_instead_of_dropping_them():
+    # The profile stops after job 0, so ``base`` has no known reference
+    # after it; its ``.cache()`` counts as one, and the 24 blocks past
+    # the store's 8 are priced: a 4-MiB write + read beats a 1-s rebuild.
+    result = run_experiment(
+        "blaze",
+        _ExpensiveCachedBase(),
+        seed=0,
+        cluster_config=ClusterConfig(
+            num_executors=2, slots_per_executor=2, memory_store_bytes=16 * MB,
+            disk=DiskConfig(capacity_bytes=GiB),
+        ),
+        blaze_config=BlazeConfig(
+            profiling_timeout_seconds=1e-6, obs=ObsConfig(enabled=True)
+        ),
+    )
+    assert result.profiling_seconds == 1e-6, "the profile must time out"
+    # ``base`` is the only dataset offered to the cache
+    outcomes = {e.outcome for e in result.report.audit_entries if e.kind != "ilp"}
+    assert "disk" in outcomes, "blocks past the memory store spill"
+    assert "drop" not in outcomes, "no annotated block is dropped"
+    assert result.recompute_seconds == 0.0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="regression: with no profile a promised reference displaces a resident "
+    "reused every iteration; tiny SVD++ 12.67 s -> 19.96 s (see ROADMAP)",
+)
+def test_a_promised_reference_does_not_displace_a_reused_resident():
+    act = run_experiment("blaze_no_profile", "svdpp", scale="tiny", seed=0).act_seconds
+    assert act <= 1.05 * 12.67

@@ -258,6 +258,55 @@ def test_touch_invalidates_exactly_reachable_partitions():
         assert not cache._lookup(cache._cr, rdd, 1)[1]
 
 
+lineage_strategy = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=3),
+        st.sampled_from([0, 1, 2, 3, 4, 6, 8]),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=lineage_strategy)
+def test_affected_pairs_are_exactly_the_partitions_that_read_the_touched_one(spec):
+    # Dataset i has parents drawn from 0..i-1 (duplicates allowed, as in
+    # zip(a, a)) and a split count mixing equal, narrower and wider
+    # children.  A count of 0 is a dataset whose count
+    # the lineage does not know: the recursion treats it as one split,
+    # and a touch may name a split past it.
+    lin = CostLineage()
+    for rdd_id, (picks, splits) in enumerate(spec):
+        parents = tuple(p % rdd_id for p in picks) if rdd_id else ()
+        lin.register_rdd(rdd_id, parents, splits)
+    cache = DecisionCostCache(lin, None, None)
+
+    def reads(rdd_id: int, split: int) -> set:
+        """Every (dataset, split) the cost recursion of one partition visits."""
+        seen = {(rdd_id, split)}
+        stack = [(rdd_id, split)]
+        while stack:
+            r, s = stack.pop()
+            for p in lin.parents_of(r):
+                key = (p, s % max(lin.num_splits_of(p), 1))
+                if key not in seen:
+                    seen.add(key)
+                    stack.append(key)
+        return seen
+
+    everything = [(r, s) for r, (_p, n) in enumerate(spec) for s in range(max(n, 1))]
+    closure = {key: reads(*key) for key in everything}
+    for rdd_id, (_p, n) in enumerate(spec):
+        for split in range(n + 2):
+            key = (rdd_id, split)
+            pairs = cache._affected_pairs(*key)
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == {key} | {
+                other for other in everything if key in closure[other]
+            }
+
+
 def test_lineage_version_change_invalidates_everything():
     lin, cache, _residency = _chain_cache()
     cache.cost_r(2, 0)
