@@ -130,6 +130,8 @@ class BlazeCacheManager(CacheManager):
         if self.config.cost_aware_enabled:
             if self.config.admission_enabled:
                 def key_fn(b: Block) -> tuple[float, bool]:
+                    if b.size_bytes <= 0:
+                        return float("inf"), True  # frees nothing: last victim
                     value, stable = self._cache.block_value_ex(b)
                     return value / b.size_bytes, stable
             else:
@@ -785,9 +787,10 @@ class BlazeCacheManager(CacheManager):
                     weight = weights[block.rdd_id] = self.lineage.refs_in_window(
                         block.rdd_id, horizon_first, horizon_last
                     )
-                if weight == 0:
-                    # No use within the horizon: leave the block where
-                    # it is (total-future-ref accounting handles it).
+                if weight == 0 or block.size_bytes <= 0:
+                    # No use within the horizon, or an empty partition that
+                    # holds no memory: leave the block where it is
+                    # (total-future-ref accounting handles it).
                     if executor.bm.location_of(block.block_id) is BlockLocation.MEMORY:
                         reserved += block.size_bytes
                     continue

@@ -204,3 +204,55 @@ def test_truncated_profile_spills_annotated_blocks_instead_of_dropping_them():
 def test_a_promised_reference_does_not_displace_a_reused_resident():
     act = run_experiment("blaze_no_profile", "svdpp", scale="tiny", seed=0).act_seconds
     assert act <= 1.05 * 12.67
+
+
+@dataclass
+class _FewKeysCachedReduce(Workload):
+    """A cached ``reduce_by_key`` with fewer keys than partitions.
+
+    Keys 3, 5 and 7 over eight reduce partitions leave the other five
+    cached partitions empty (0-byte blocks).  All three keys land on one
+    executor after an empty block, so a 2-4 MiB store must evict while
+    that block is resident.
+    """
+
+    num_partitions: int = 8
+    iterations: int = 3
+
+    name = "few_keys_cached_reduce"
+
+    def scaled(self, fraction: float) -> "_FewKeysCachedReduce":
+        return self
+
+    def run(self, ctx) -> WorkloadResult:
+        sums = ctx.source(
+            lambda split, _rng: [(k, split + k) for k in (3, 5, 7)], 4, name="rows",
+        ).reduce_by_key(
+            lambda a, b: a + b, num_partitions=self.num_partitions,
+            size_model=SizeModel(bytes_per_element=1.5 * MB), name="sums",
+        ).cache()
+        out = []
+        for i in range(self.iterations):
+            scaled = sums.map(lambda kv, i=i: (kv[0], kv[1] * i))
+            parts = ctx.run_job(scaled, lambda _s, part: list(part))
+            out.append(sorted(kv for part in parts for kv in part))
+        return WorkloadResult(self.name, self.iterations, out)
+
+
+@pytest.mark.parametrize("memory_mb", [1, 2, 4, 64])
+def test_empty_cached_partitions_match_spark(memory_mb):
+    # 1 and 64 MiB reach the ILP with a 0-byte item; 2 and 4 MiB order
+    # a 0-byte block as an eviction candidate.
+    cluster = ClusterConfig(
+        num_executors=2, slots_per_executor=2,
+        memory_store_bytes=memory_mb * MB, disk=DiskConfig(capacity_bytes=GiB),
+    )
+
+    def final(system):
+        return run_experiment(
+            system, _FewKeysCachedReduce(), seed=0, cluster_config=cluster,
+        ).workload_result.final_value
+
+    expected = final("spark_mem_disk")
+    assert final("blaze") == expected
+    assert final("blaze_no_profile") == expected
