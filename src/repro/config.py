@@ -333,8 +333,8 @@ class BlazeConfig:
     # between ``columnar_codec`` (memory tier) and ``columnar_spill_codec``
     # (disk tier).  Execution is observationally identical either way —
     # every preset's JSONL trace is byte-identical columnar vs list — so
-    # the flag is a kill switch and the baseline for the columnar cells of
-    # `scripts/bench.py`.
+    # the flag is a kill switch and the list oracle of the columnar
+    # property and trace-identity tests.
     columnar_backend: bool = True
     columnar_chunk_rows: int = 4096
     columnar_codec: str = "none"

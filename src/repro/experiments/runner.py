@@ -92,7 +92,7 @@ def run_experiment(
     ``workload`` is a registry name or an already-parameterized
     :class:`~repro.workloads.base.Workload` instance (used by harnesses
     that vary parameters beyond the scale presets, e.g. the pressure
-    configurations of ``scripts/bench.py``).  ``tracer=None`` defers to
+    cells of ``bench/`` and the tests).  ``tracer=None`` defers to
     ``cluster_config.tracing_enabled`` (an
     :class:`~repro.tracing.InMemoryTracer` is created when set); pass an
     explicit tracer to capture the trace yourself.

@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 # NamedTuples, not frozen dataclasses: entries are constructed on the
 # admission hot path (one per decision, one per candidate), and tuple
 # construction is ~2.5x cheaper — the difference shows up directly in
-# the obs-on overhead bar of ``scripts/bench.py --suite obs``.
+# the obs-on overhead bar of ``tests/obs/test_overhead.py``.
 class CandidateTerm(NamedTuple):
     """One candidate block considered (and possibly chosen) by a decision."""
 

@@ -9,8 +9,8 @@ intermediates is annotated and none has reuse, so the decision layer never
 admits them: exactly the shape the fused execution layer
 (:mod:`repro.dataflow.fusion`) collapses into single-pass pipelines.
 
-It exists primarily as the data-plane benchmark cell for
-``scripts/bench.py`` (decisions are deliberately cheap; the engine's
+It exists primarily as the data-plane benchmark cell (``chain_kernels``
+in ``bench/``; decisions are deliberately cheap; the engine's
 per-intermediate materialization overhead dominates), but it is a real
 workload like any other: deterministic, system-independent results, and a
 faithful virtual-cost story (every elided intermediate is still charged

@@ -191,6 +191,9 @@ def test_every_preset_converges_under_faults(system):
     assert (
         faulted.workload_result.final_value == clean.workload_result.final_value
     ), f"{system} diverged under faults"
+    # Recovery costs virtual time; the clean side injects nothing.
+    assert faulted.act_seconds >= clean.act_seconds
+    assert clean.report.fault_counters["faults_injected"] == 0
     fc = faulted.report.fault_counters
     assert fc["faults_injected"] == 4
     assert fc["executor_crashes"] == 1

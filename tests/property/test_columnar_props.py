@@ -110,6 +110,7 @@ def _run_program(system, steps, data, width, seed, columnar):
             "metrics": ctx.metrics.total,
             "evictions": ctx.metrics.total_evictions,
             "trace": to_jsonl(tracer.events),
+            "counters": counters,
             "encoded": counters["columnar_batches_encoded"],
             "kernel_partitions": counters["kernel_partitions"],
         }
@@ -127,17 +128,28 @@ def test_columnar_matches_list_oracle(system, steps, data, width, seed):
     assert on["metrics"] == off["metrics"]
     assert on["evictions"] == off["evictions"]
     assert on["trace"] == off["trace"]
+    assert on["counters"]["ilp_nodes"] == off["counters"]["ilp_nodes"]
     # the kill switch really kills the layer
     assert off["encoded"] == 0 and off["kernel_partitions"] == 0
+    assert off["counters"]["kernel_chains_compiled"] == 0
+    assert off["counters"]["codec_transitions"] == 0
 
 
 def test_kernels_actually_fire():
     """Guard against the property passing vacuously: an int chain with a
-    cached source must encode batches and run at least one kernel split."""
+    cached source must encode batches and run at least one kernel split.
+    Both planes fuse the chain, pipeline partitions and hit the
+    ``bytes_for`` memo."""
     steps = [("cache", 0), ("map", 1), ("map", 2), ("filter", 3)]
     on = _run_program("spark", steps, list(range(200)), 2, 0, columnar=True)
     assert on["encoded"] > 0
     assert on["kernel_partitions"] > 0
+    assert on["counters"]["kernel_chains_compiled"] > 0
+    off = _run_program("spark", steps, list(range(200)), 2, 0, columnar=False)
+    for counters in (off["counters"], on["counters"]):
+        assert counters["chains_fused"] > 0
+        assert counters["partitions_pipelined"] > 0
+        assert counters["bytes_for_memo_hits"] > 0
 
 
 def test_string_data_never_encodes():

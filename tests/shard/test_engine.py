@@ -77,6 +77,8 @@ def test_process_transport_trace_is_byte_identical():
     assert r_off == r_on
     assert e_off == e_on
     assert counters["tasks_dispatched"] > 0
+    assert counters["barrier_syncs"] > 0
+    assert counters["shuffle_fetch_rpcs"] > 0
 
 
 def test_config_validation():
