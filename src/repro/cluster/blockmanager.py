@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..errors import StorageError
+from ..storage.columnar import DISK_CODEC, MEMORY_CODEC, ColumnarBatch
 from ..tracing.tracer import NULL_TRACER, Tracer, executor_pid
 from .blocks import Block, BlockId, BlockLocation
 from .stores import BlockStore
@@ -49,26 +50,22 @@ class BlockManager:
         #: demoted here is readable fleet-wide and survives preemption.
         self.remote = None
         self.remote_config = None
-        #: the service's ColumnarBackend (None when disabled).  Crossing
-        #: the memory/disk boundary transcodes ColumnarBatch data between
-        #: the memory and spill codecs in place — a codec transition, not
-        #: a re-serialization; list blocks pass through untouched.  Virtual
-        #: I/O charges keep using ``block.size_bytes`` (the modeled or
-        #: admission-time measured size), so traces and decisions are
-        #: independent of the wall-clock transcode.
-        self.columnar = None
 
     def bind_remote(self, store, config) -> None:
         """Attach the shared remote pool (elastic tier enablement)."""
         self.remote = store
         self.remote_config = config
 
-    def _to_disk_codec(self, block: Block) -> None:
-        if self.columnar is not None and self.columnar.to_disk_tier(block.data):
-            self._metrics.codec_transitions += 1
+    def _transcode(self, block: Block, codec: str) -> None:
+        """Move a ColumnarBatch's payloads to the tier codec, in place.
 
-    def _to_memory_codec(self, block: Block) -> None:
-        if self.columnar is not None and self.columnar.to_memory_tier(block.data):
+        Crossing the memory/disk boundary is a codec transition, not a
+        re-serialization; list blocks pass through untouched.  Virtual
+        I/O charges keep using the modeled ``block.size_bytes``, so traces
+        and decisions are independent of the wall-clock transcode.
+        """
+        data = block.data
+        if isinstance(data, ColumnarBatch) and data.transcode(codec):
             self._metrics.codec_transitions += 1
 
     def _trace(self, name: str, block: Block) -> None:
@@ -176,7 +173,7 @@ class BlockManager:
         """Write a freshly produced block straight to disk, charging I/O."""
         self._ensure_disk_space(block.size_bytes)
         self.charge_disk_write(block, tm, include_ser)
-        self._to_disk_codec(block)
+        self._transcode(block, DISK_CODEC)
         self.disk.put(block)
         self._metrics.record_disk_put(block.size_bytes)
         for listener in self.residency_listeners:
@@ -189,7 +186,7 @@ class BlockManager:
         block = self.memory.remove(block_id)
         self._ensure_disk_space(block.size_bytes)
         self.charge_disk_write(block, tm, include_ser)
-        self._to_disk_codec(block)
+        self._transcode(block, DISK_CODEC)
         self.disk.put(block)
         self._metrics.record_disk_put(block.size_bytes)
         self._metrics.record_eviction_to_disk(self.executor_id, block.size_bytes)
@@ -243,7 +240,7 @@ class BlockManager:
             return None
         self.disk.remove(block_id)
         self._metrics.record_disk_remove(block.size_bytes)
-        self._to_memory_codec(block)
+        self._transcode(block, MEMORY_CODEC)
         self.memory.put(block)
         for listener in self.residency_listeners:
             listener.memory_added(self.executor_id, block)
@@ -262,7 +259,7 @@ class BlockManager:
         tier is absent or the pool cannot fit the block; the pool is never
         evicted to make room — remote occupancy is a placement outcome,
         not a second eviction ladder.  Crossing into the tier is a codec
-        transition to the spill codec, exactly like a disk spill.
+        transition to the disk codec, exactly like a disk spill.
         """
         if self.remote is None:
             return None
@@ -271,7 +268,7 @@ class BlockManager:
             return None
         self.memory.remove(block_id)
         self.charge_remote_write(block, tm)
-        self._to_disk_codec(block)
+        self._transcode(block, DISK_CODEC)
         self.remote.put(block)
         self._metrics.remote_demotions += 1
         self._metrics.remote_bytes_written += block.size_bytes
@@ -286,7 +283,7 @@ class BlockManager:
         if self.remote is None or not self.remote.fits(block.size_bytes):
             return False
         self.charge_remote_write(block, tm)
-        self._to_disk_codec(block)
+        self._transcode(block, DISK_CODEC)
         self.remote.put(block)
         self._metrics.remote_bytes_written += block.size_bytes
         if self._tracer.enabled:
@@ -318,7 +315,7 @@ class BlockManager:
         if not self.memory.fits(block.size_bytes):
             return None
         self.remote.remove(block_id)
-        self._to_memory_codec(block)
+        self._transcode(block, MEMORY_CODEC)
         self.memory.put(block)
         self._metrics.remote_promotions += 1
         for listener in self.residency_listeners:

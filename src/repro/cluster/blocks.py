@@ -5,7 +5,7 @@ manager, identified by ``(rdd_id, split)`` exactly like Spark's
 ``RDDBlockId``.  The block keeps the *real* elements (so cache hits return
 correct data) alongside the *modeled* size used for capacity accounting.
 
-``data`` is a plain record list or — under the columnar backend — a
+``data`` is a plain record list or a
 :class:`~repro.storage.columnar.ColumnarBatch`, which iterates, indexes,
 and measures length exactly like the list it encodes.  Tier movement may
 transcode a batch between codecs in place; ``size_bytes`` is fixed at

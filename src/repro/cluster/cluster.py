@@ -78,8 +78,8 @@ class Cluster:
         Parked executors rejoin lowest id first (their listener wiring and
         empty stores survived the park); past that, a fresh executor is
         provisioned and appended, and the caller is responsible for the
-        subsystem wiring (directory registration, cache-manager state,
-        columnar backend) via the fleet controller.
+        subsystem wiring (directory registration, cache-manager state)
+        via the fleet controller.
         """
         active = set(self._active_ids)
         for eid in range(len(self.executors)):

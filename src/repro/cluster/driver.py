@@ -24,6 +24,7 @@ from ..dataflow.fusion import FusionPlanner
 from ..errors import DataflowError
 from ..faults.injector import InjectedTaskFailure
 from ..metrics.collector import TaskMetrics
+from ..storage.backend import ColumnarBackend
 from ..storage.columnar import ColumnarBatch
 from ..tracing.tracer import executor_pid
 from .blocks import Block, BlockId, BlockLocation
@@ -45,15 +46,13 @@ class Driver:
         cluster: "Cluster",
         cache_manager: "CacheManager",
         fault_injector: "FaultInjector | None" = None,
-        columnar=None,
     ) -> None:
         self.cluster = cluster
         self.cache_manager = cache_manager
-        #: the service's ColumnarBackend, or None when the columnar plane
-        #: is disabled: partitions offered to the cache get encoded as
-        #: record batches, and the fusion planner dispatches eligible
-        #: chains to its vectorized kernels.
-        self.columnar = columnar
+        #: the columnar data plane: partitions offered to the cache get
+        #: encoded as record batches, and the fusion planner dispatches
+        #: eligible chains to its vectorized kernels.
+        self.columnar = ColumnarBackend()
         self.metrics = cluster.metrics
         self.tracer = cluster.tracer
         #: the run's fault injector (None on fault-free runs): drives the
@@ -318,22 +317,16 @@ class Driver:
             and self.cluster.find_block(block_id) is None
             and self.cluster.remote_block(block_id) is None
         ):
-            if self.columnar is not None:
-                # Encode type-analyzable partitions before they are sized
-                # and offered: memoized even when admission declines, so a
-                # recomputed-after-eviction split stays columnar too.
-                data = self.columnar.encode_for_cache(rdd, data, self.metrics)
-            if not rdd.size_model.measured:
-                size = self._task_size_memo.get(block_id)
-                if size is None:
-                    self.metrics.bytes_for_memo_misses += 1
-                    size = rdd.size_model.bytes_for(rdd.size_weight(data))
-                else:
-                    self.metrics.bytes_for_memo_hits += 1
-            else:
-                # Measured size models price the freshly-encoded batch's
-                # real nbytes, which the pre-encode memo cannot know.
+            # Encode type-analyzable partitions before they are offered:
+            # memoized even when admission declines, so a
+            # recomputed-after-eviction split stays columnar too.
+            data = self.columnar.encode_for_cache(rdd, data, self.metrics)
+            size = self._task_size_memo.get(block_id)
+            if size is None:
+                self.metrics.bytes_for_memo_misses += 1
                 size = rdd.size_model.bytes_for(rdd.size_weight(data))
+            else:
+                self.metrics.bytes_for_memo_hits += 1
             self.cache_manager.handle_cache(executor, rdd, split, data, size, tm)
             if (
                 self.cluster.find_block(block_id) is not None
@@ -401,8 +394,6 @@ class Driver:
             self._trace_hit("cache.hit_remote", executor, block)
             self.cache_manager.on_remote_hit(executor, block, tm)
             return block.data
-        if not self.cluster.config.allow_remote_cache_reads:
-            return None
         found = self.cluster.find_block(block_id)
         if found is None:
             return None
@@ -539,8 +530,7 @@ class Driver:
         self.cache_manager.on_partition_computed(
             rdd, split, n_in, len(out), seconds, weight
         )
-        if not rdd.size_model.measured:
-            self._task_size_memo[(rdd.rdd_id, split)] = rdd.size_model.bytes_for(weight)
+        self._task_size_memo[(rdd.rdd_id, split)] = rdd.size_model.bytes_for(weight)
         return out
 
     def _recompute_shuffle(

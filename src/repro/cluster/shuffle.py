@@ -61,25 +61,6 @@ def merge_bucket_lists(bucket_lists, combiner) -> list[tuple[Any, Any]]:
     return list(merged.items())
 
 
-def _modeled_bytes(size_model, records, n_records: int) -> float:
-    """Shuffle-side modeled bytes, mirroring ``RDD.size_weight`` semantics.
-
-    Measured size models price the collection's real stored bytes when it
-    exposes them (a ColumnarBatch map-side input) and fall back to the
-    per-element estimate otherwise (combined/merged plain lists, or the
-    fetch path's scattered buckets); estimated models price the count.
-    """
-    if size_model.measured:
-        nbytes = getattr(records, "nbytes", None)
-        weight = (
-            float(nbytes)
-            if nbytes is not None
-            else size_model.bytes_per_element * n_records
-        )
-        return size_model.bytes_for(weight)
-    return size_model.bytes_for(n_records)
-
-
 class ShuffleManager:
     """Global catalog of shuffle map outputs (the simulator's shuffle files)."""
 
@@ -165,7 +146,7 @@ class ShuffleManager:
                 else:
                     bucket.append(kv)
 
-        bytes_out = _modeled_bytes(dep.parent.size_model, records, len(records))
+        bytes_out = dep.parent.size_model.bytes_for(len(records))
         ser = self._config.disk.ser_seconds_per_byte * dep.parent.size_model.ser_factor
         tm.shuffle_write_seconds += bytes_out / self._config.disk.write_bytes_per_sec
         tm.shuffle_write_seconds += bytes_out * ser
@@ -271,7 +252,7 @@ class ShuffleManager:
     def _charge_fetch_costs(
         self, dep: ShuffleDependency, n_records: int, tm: "TaskMetrics"
     ) -> None:
-        bytes_in = _modeled_bytes(dep.parent.size_model, None, n_records)
+        bytes_in = dep.parent.size_model.bytes_for(n_records)
         deser = self._config.disk.deser_seconds_per_byte * dep.parent.size_model.ser_factor
         tm.shuffle_read_seconds += self._config.network.latency_seconds
         tm.shuffle_read_seconds += bytes_in / self._config.network.bytes_per_sec

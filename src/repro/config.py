@@ -76,9 +76,6 @@ class ClusterConfig:
     # scope; one job of retention reproduces the iterative-workload pattern
     # where recomputation has to re-run upstream map stages.
     shuffle_retention_jobs: int = 1
-    # Remote cache reads are allowed (Spark semantics) but tasks are
-    # scheduled for locality, so they are rare.
-    allow_remote_cache_reads: bool = True
     # Opt-in structured tracing: when True (and no explicit tracer is
     # passed to BlazeContext) the context records an in-memory trace of
     # spans and cache events on the virtual clock.
@@ -250,10 +247,6 @@ class ObsConfig:
     # a ``None`` check per decision.
     enabled: bool = False
 
-    # The decision audit log is a ring buffer: only the most recent
-    # ``audit_ring_size`` admission/eviction/ILP entries are retained.
-    audit_ring_size: int = 4096
-
     # Fixed virtual-time interval between occupancy samples, and a cap on
     # the number of samples retained (long service runs with sparse
     # arrivals would otherwise grow the series without bound).
@@ -261,8 +254,6 @@ class ObsConfig:
     max_samples: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.audit_ring_size <= 0:
-            raise ConfigError("audit_ring_size must be positive")
         if self.sample_interval_seconds <= 0:
             raise ConfigError("sample_interval_seconds must be positive")
         if self.max_samples <= 0:
@@ -276,9 +267,6 @@ class BlazeConfig:
     Engine kill switches at a glance (each is documented in detail at its
     field below):
 
-    - ``columnar_backend`` — columnar partition storage + vectorized
-      fused kernels (traces byte-identical either way; see
-      ``repro.storage`` and docs/performance.md);
     - ``fault_injection`` — deterministic fault injection (off by
       default; a FaultSchedule is inert without it);
     - ``service.dedup_enabled`` — cross-application lineage dedup on the
@@ -302,12 +290,6 @@ class BlazeConfig:
     # many upcoming jobs; the paper uses the current and the next job.
     ilp_horizon_jobs: int = 2
     ilp_backend: str = "exact"  # "exact" (branch and bound) or "greedy"
-    # Re-solve with updated recomputation costs until the memory set is
-    # stable, at most this many rounds (cost_r depends on residency).
-    ilp_refinement_rounds: int = 3
-
-    # Whether disk capacity enters the ILP as a second constraint.
-    constrain_disk: bool = False
 
     # Automatic caching (section 5.6).
     autocache_enabled: bool = True
@@ -324,30 +306,13 @@ class BlazeConfig:
     # discarded and nothing is spilled.
     disk_enabled: bool = True
 
-    # Columnar data plane (the ``repro.storage`` package).  Partitions
-    # whose records are type-analyzable (numeric scalars, fixed tuples of
-    # scalars, int-keyed pairs) are stored as chunked numpy record batches
-    # at cache time, element-wise fused chains over them execute as
-    # batch-at-a-time vectorized kernels (with per-split fallback to the
-    # iterator pipeline), and spill/load becomes a codec transition
-    # between ``columnar_codec`` (memory tier) and ``columnar_spill_codec``
-    # (disk tier).  Execution is observationally identical either way —
-    # every preset's JSONL trace is byte-identical columnar vs list — so
-    # the flag is a kill switch and the list oracle of the columnar
-    # property and trace-identity tests.
-    columnar_backend: bool = True
-    columnar_chunk_rows: int = 4096
-    columnar_codec: str = "none"
-    columnar_spill_codec: str = "zlib"
-
     # Deterministic fault injection (the ``repro.faults`` subsystem).  The
     # kill switch defaults to off: a FaultSchedule handed to a context is
-    # inert unless ``fault_injection`` is raised.  The retry knobs bound
+    # inert unless ``fault_injection`` is raised.  The retry knob bounds
     # the driver's task-reattempt loop (Spark's spark.task.maxFailures
-    # analogue) with a linear virtual-time backoff per attempt.
+    # analogue).
     fault_injection: bool = False
     fault_max_task_retries: int = 4
-    fault_retry_backoff_seconds: float = 0.25
 
     # Sharded simulation engine (the ``repro.shard`` package).  Executors
     # are split into ``num_shards`` contiguous groups; shard workers
@@ -382,25 +347,8 @@ class BlazeConfig:
             raise ConfigError(f"unknown ilp_backend: {self.ilp_backend!r}")
         if not 0 < self.profiling_sample_fraction <= 1:
             raise ConfigError("profiling_sample_fraction must be in (0, 1]")
-        if self.ilp_refinement_rounds < 1:
-            raise ConfigError("ilp_refinement_rounds must be >= 1")
-        if self.columnar_chunk_rows < 1:
-            raise ConfigError("columnar_chunk_rows must be >= 1")
-        # Late import: repro.storage depends only on numpy/stdlib, but
-        # config must stay importable before the storage registry is.
-        from .storage.codecs import available_codecs, is_known_codec
-
-        for codec_field in ("columnar_codec", "columnar_spill_codec"):
-            name = getattr(self, codec_field)
-            if not is_known_codec(name):
-                raise ConfigError(
-                    f"{codec_field}={name!r} is not a registered codec "
-                    f"(available: {available_codecs()})"
-                )
         if self.fault_max_task_retries < 1:
             raise ConfigError("fault_max_task_retries must be >= 1")
-        if self.fault_retry_backoff_seconds < 0:
-            raise ConfigError("fault_retry_backoff_seconds must be >= 0")
         if self.num_shards < 1:
             raise ConfigError("num_shards must be >= 1")
         if self.shard_transport not in ("local", "process"):

@@ -42,6 +42,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dataflow.rdd import RDD
 
 
+#: §5.5 re-solves with updated recomputation costs until the memory set is
+#: stable, at most this many rounds (cost_r depends on residency).
+ILP_REFINEMENT_ROUNDS = 3
+
+
 class BlazeCacheManager(CacheManager):
     """Unified cost-aware caching, eviction, and recovery decisions."""
 
@@ -799,7 +804,7 @@ class BlazeCacheManager(CacheManager):
             if not weighted:
                 continue
             planned: dict[BlockId, PartitionState] = {}
-            for _round in range(cfg.ilp_refinement_rounds):
+            for _round in range(ILP_REFINEMENT_ROUNDS):
                 state_fn = self._hypothetical_state_fn(planned)
                 memo = dict(sizes)
                 items = [
@@ -815,16 +820,13 @@ class BlazeCacheManager(CacheManager):
                     for block, weight, cost_d in weighted
                 ]
                 capacity = max(executor.bm.memory.capacity_bytes - reserved, 0.0)
-                disk_cap = (
-                    executor.bm.disk.capacity_bytes if cfg.constrain_disk else None
-                )
                 observer = (
                     self._ilp_observer(executor.executor_id, job.job_id, _round)
                     if self.audit is not None
                     else None
                 )
                 solution = solve_partition_states(
-                    items, capacity, disk_capacity=disk_cap, backend=cfg.ilp_backend,
+                    items, capacity, backend=cfg.ilp_backend,
                     observer=observer,
                 )
                 self.cluster.metrics.ilp_solves += 1

@@ -188,11 +188,11 @@ class FusionPlanner:
         then per-intermediate compute charges and profiling callbacks
         bottom-up.  The caller charges the top itself.
 
-        When the source arrives as a :class:`ColumnarBatch` and the
-        columnar backend is enabled, the chain first attempts the
-        vectorized kernel path (``repro.storage.kernels``); a kernel
-        fallback lands on the iterator pipeline below before any charge
-        or event fires, so the two paths are observationally
+        When the source arrives as a :class:`ColumnarBatch`, the chain
+        first attempts the vectorized kernel path
+        (``repro.storage.kernels``); a kernel fallback lands on the
+        iterator pipeline below before any charge or event fires, so the
+        two paths are observationally
         indistinguishable — per-stage cardinalities feed one shared
         charge loop with identical float math either way.
         """
@@ -222,9 +222,8 @@ class FusionPlanner:
         # Vectorized kernel path: batch-at-a-time numpy execution of the
         # whole chain.  run_chain returns None (having touched nothing
         # observable) whenever the chain can't be vectorized faithfully.
-        backend = driver.columnar
-        if backend is not None and isinstance(src, ColumnarBatch):
-            res = backend.kernels.run_chain(chain, stages, src, self.metrics)
+        if isinstance(src, ColumnarBatch):
+            res = driver.columnar.kernels.run_chain(chain, stages, src, self.metrics)
             if res is not None:
                 body, stage_n_outs = res
                 if top.elem_op is not None:
@@ -296,13 +295,7 @@ class FusionPlanner:
             tm.compute_seconds += seconds
             if recovery:
                 tm.recompute_seconds += seconds
-            if mid.size_model.measured:
-                # What the unfused path's size_weight returns for the
-                # list intermediate a measured mid would materialize.
-                weight = mid.size_model.bytes_per_element * n_out
-            else:
-                weight = float(n_out)
-            on_computed(mid, split, n_in, n_out, seconds, weight)
+            on_computed(mid, split, n_in, n_out, seconds, float(n_out))
             n_in = n_out
 
         self.metrics.partitions_pipelined += 1

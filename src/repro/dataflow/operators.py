@@ -63,21 +63,13 @@ class SizeModel:
     partition crosses a disk or network boundary, relative to the cluster's
     baseline serialization throughput.
 
-    With ``measured=True`` the model prices *measured* bytes instead of a
-    per-element estimate: ``RDD.size_weight`` passes through the stored
-    representation's real ``nbytes`` (a ColumnarBatch's payload bytes —
-    the compressed size for compressed chunks) when the partition exposes
-    one, and :meth:`bytes_for` treats the weight as bytes directly.  The
-    measured weight threads through cost_d/cost_r/ILP unchanged, exactly
-    like an estimated one.  Measured sizing is opt-in per rdd because it
-    makes modeled pressure depend on the storage backend — the default
-    keeps every preset's trace byte-identical columnar vs list.
+    Sizes are declared, never measured: a partition's stored form (list or
+    columnar batch, raw or compressed) cannot change a caching decision.
     """
 
     bytes_per_element: float = 64.0
     fixed_bytes: float = 0.0
     ser_factor: float = 1.0
-    measured: bool = False
 
     def __post_init__(self) -> None:
         if self.bytes_per_element < 0 or self.fixed_bytes < 0:
@@ -86,13 +78,7 @@ class SizeModel:
             raise ConfigError("ser_factor must be positive")
 
     def bytes_for(self, n_elements: float) -> float:
-        """Modeled bytes for a partition of weight ``n_elements``.
-
-        The weight is an element count under estimated sizing and a byte
-        measurement under ``measured=True``.
-        """
-        if self.measured:
-            return self.fixed_bytes + float(n_elements)
+        """Modeled bytes for a partition of weight ``n_elements``."""
         return self.fixed_bytes + self.bytes_per_element * n_elements
 
 

@@ -139,19 +139,11 @@ class RDD:
     def size_weight(self, data) -> float:
         """The size-model weight of a materialized partition.
 
-        Custom weighers always win.  Under a measured size model the
-        weight is the stored representation's real byte count when it
-        exposes one (``ColumnarBatch.nbytes``); list partitions fall back
-        to the per-element estimate so a measured model degrades gracefully
-        on non-analyzable data.
+        Custom weighers win; otherwise the weight is the element count,
+        whatever the partition's stored form.
         """
         if self.size_weigher is not None:
             return float(self.size_weigher(data))
-        if self.size_model.measured:
-            nbytes = getattr(data, "nbytes", None)
-            if nbytes is not None:
-                return float(nbytes)
-            return self.size_model.bytes_per_element * len(data)
         return float(len(data))
 
     def cache(self) -> "RDD":

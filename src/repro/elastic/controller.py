@@ -6,8 +6,8 @@ and every scale event due by then is applied in fire-time order:
 
 - *scale-up* activates executors (parked ones rejoin lowest id first,
   then fresh ones are provisioned up to ``ElasticConfig.max_executors``)
-  and wires them into the residency directory, the remote pool, the
-  decision layer's victim indexes, and the columnar backend;
+  and wires them into the residency directory, the remote pool and the
+  decision layer's victim indexes;
 - *scale-down* drains gracefully: the victim leaves the fleet first, then
   every resident block migrates to its new home executor — memory blocks
   into memory if they fit, else the remote tier, else disk; disk blocks
@@ -56,9 +56,6 @@ class FleetController:
         normalized = schedule.clamped_to(len(cluster.executors))
         #: not-yet-applied specs, in fire-time order (stable)
         self._pending: list[ScaleSpec] = normalized.in_order()
-        #: the service's ColumnarBackend (assigned to freshly provisioned
-        #: executors' block managers), or None when the plane is off
-        self.columnar = None
 
     # ------------------------------------------------------------------
     def poll(self, now: float, job_id: int) -> None:
@@ -86,8 +83,6 @@ class FleetController:
             if len(self.cluster.active_ids) >= self.config.max_executors:
                 break
             executor = self.cluster.activate_executor()
-            if self.columnar is not None and executor.bm.columnar is None:
-                executor.bm.columnar = self.columnar
             self.manager.on_executor_added(executor)
             added += 1
         self.metrics.scale_ups += 1

@@ -19,13 +19,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.cluster import Cluster
 
 
+#: The decision audit log is a ring buffer: only the most recent this many
+#: admission/eviction/ILP entries are retained.
+AUDIT_RING_SIZE = 4096
+
+
 class ObsHub:
     """Bundles the audit log and the sampler for one cluster run."""
 
     def __init__(self, config: ObsConfig, cluster: "Cluster") -> None:
         self.config = config
         self.cluster = cluster
-        self.audit = DecisionAudit(ring_size=config.audit_ring_size)
+        self.audit = DecisionAudit(ring_size=AUDIT_RING_SIZE)
         self.sampler = OccupancySampler(
             cluster,
             interval_seconds=config.sample_interval_seconds,

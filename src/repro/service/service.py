@@ -46,6 +46,9 @@ from .tenancy import DEFAULT_TENANT, TenantRegistry
 #: profiler=1000).
 SERVICE_PID = 2000
 
+#: linear virtual-time backoff per task reattempt under fault injection
+FAULT_RETRY_BACKOFF_SECONDS = 0.25
+
 
 @dataclass(frozen=True)
 class JobRecord:
@@ -123,26 +126,6 @@ class JobService:
         self.cluster = Cluster(self.config, tracer=tracer)
         self.cluster.tenancy = TenantRegistry(service_config.tenant_quotas)
         self.cluster.tenancy.cluster = self.cluster
-        #: columnar data plane (``repro.storage``): one backend shared by
-        #: the driver (encode at cache time, vectorized fused kernels) and
-        #: every executor's block manager (memory<->disk codec
-        #: transitions).  ``BlazeConfig.columnar_backend`` is the kill
-        #: switch; traces are byte-identical either way.
-        self.columnar = None
-        columnar_on = (
-            blaze_config.columnar_backend if blaze_config is not None else True
-        )
-        if columnar_on:
-            from ..storage.backend import ColumnarBackend
-
-            cfg = blaze_config if blaze_config is not None else BlazeConfig()
-            self.columnar = ColumnarBackend(
-                chunk_rows=cfg.columnar_chunk_rows,
-                codec=cfg.columnar_codec,
-                spill_codec=cfg.columnar_spill_codec,
-            )
-            for ex in self.cluster.executors:
-                ex.bm.columnar = self.columnar
         # Observability hub: must exist before the driver attaches the
         # cache manager (attach() binds the audit log from cluster.obs).
         # Pure reader — enabling it cannot change a trace or a decision.
@@ -159,7 +142,7 @@ class JobService:
             self.fault_injector = FaultInjector(
                 fault_schedule, self.cluster, cache_manager,
                 max_task_retries=blaze_config.fault_max_task_retries,
-                retry_backoff_seconds=blaze_config.fault_retry_backoff_seconds,
+                retry_backoff_seconds=FAULT_RETRY_BACKOFF_SECONDS,
             )
         # Elastic fleets + the remote-memory tier (``repro.elastic``) have
         # the same double opt-in: a scale schedule must be passed AND
@@ -176,11 +159,8 @@ class JobService:
                 self.fleet_controller = FleetController(
                     scale_schedule, self.cluster, cache_manager, elastic
                 )
-                self.fleet_controller.columnar = self.columnar
         self.driver = Driver(
-            self.cluster, cache_manager,
-            fault_injector=self.fault_injector,
-            columnar=self.columnar,
+            self.cluster, cache_manager, fault_injector=self.fault_injector
         )
         self.driver.fleet = self.fleet_controller
         self.cache_manager = cache_manager

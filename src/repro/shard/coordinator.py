@@ -119,7 +119,6 @@ class ShardCoordinator:
         cache_manager = self.driver.cache_manager
         directory = cluster.directory
         shuffle = cluster.shuffle
-        allow_remote = cluster.config.allow_remote_cache_reads
         consumers = self._consumers_of(stage.rdd)
 
         need: dict[tuple[int, int], bool] = {}
@@ -134,11 +133,9 @@ class ShardCoordinator:
             seen.add(key)
             if cache_manager.is_cache_candidate(rdd):
                 holders = directory.holders_of(key)
-                if holders and (
-                    allow_remote or cluster.home_executor_id(split) in holders
-                ):
+                if holders:
                     continue  # the replay will hit this one
-                if not holders and cluster.remote_block(key) is not None:
+                if cluster.remote_block(key) is not None:
                     continue  # resident in the remote tier: the replay hits
             nodes.setdefault(rdd.rdd_id, rdd)
             if type(rdd) not in _PASSTHROUGH_TYPES:

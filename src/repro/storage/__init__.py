@@ -1,14 +1,14 @@
-"""Columnar partition storage: record batches, codecs, vectorized kernels.
+"""Columnar partition storage: record batches and vectorized kernels.
 
-The engine's partitions are plain Python lists by default.  When the
-columnar backend is enabled (``BlazeConfig.columnar_backend``), partitions
-whose records are *type-analyzable* — numeric scalars, or fixed-arity
-tuples of numeric scalars (int-keyed pairs being the common case) — are
-stored as :class:`ColumnarBatch` record batches: chunked numpy columns
-with an optional per-chunk compression codec.  A batch decodes to exactly
-the Python objects the list held, so everything downstream (actions,
-shuffle, lineage recovery) is value-identical; the byte-identical-trace
-harness is the enforcement mechanism.
+Partitions whose records are *type-analyzable* — numeric scalars, or
+fixed-arity tuples of numeric scalars (int-keyed pairs being the common
+case) — are stored as :class:`ColumnarBatch` record batches when they are
+offered to the cache: chunked numpy columns, raw in memory and
+zlib-compressed on disk.  Everything else stays a plain Python list.  A
+batch decodes to exactly the Python objects the list held, so everything
+downstream (actions, shuffle, lineage recovery) is value-identical; the
+byte-identical-trace harness, run against the ``list_plane`` test
+fixture, is the enforcement mechanism.
 
 Layering: this package depends only on numpy and the stdlib — never on
 ``repro.dataflow`` or ``repro.cluster`` — so every engine layer may import
@@ -16,7 +16,6 @@ it freely.
 """
 
 from .backend import ColumnarBackend
-from .codecs import available_codecs, get_codec, is_known_codec, register_codec
 from .columnar import ColumnarBatch
 from .kernels import KernelEngine
 
@@ -24,8 +23,4 @@ __all__ = [
     "ColumnarBackend",
     "ColumnarBatch",
     "KernelEngine",
-    "available_codecs",
-    "get_codec",
-    "is_known_codec",
-    "register_codec",
 ]

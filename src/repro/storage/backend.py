@@ -1,9 +1,9 @@
-"""ColumnarBackend: the per-service policy object for the columnar plane.
+"""ColumnarBackend: the driver's policy object for the columnar plane.
 
-One instance is built by the job service from ``BlazeConfig`` and handed
-to the driver (kernel dispatch + encode-at-materialize) and to every
-executor's BlockManager (tier codec transitions) — the same wiring shape
-as the shuffle fast-path flag.  Holding it here keeps ``repro.storage``
+The driver builds one and uses it to encode partitions as they are
+offered to the cache and to dispatch fused chains to the vectorized
+kernels.  Tier moves need no backend: the block manager transcodes a
+:class:`ColumnarBatch` itself.  Holding it here keeps ``repro.storage``
 free of engine imports: the backend speaks in rdds and metrics objects
 only through duck-typed attributes.
 """
@@ -12,27 +12,15 @@ from __future__ import annotations
 
 from typing import Any
 
-from .codecs import get_codec
 from .columnar import ColumnarBatch
 from .kernels import KernelEngine
 
 
 class ColumnarBackend:
-    """Knobs + encode memo + kernel engine for one service's data plane."""
+    """Encode memo + kernel engine for one driver's data plane."""
 
-    def __init__(
-        self,
-        chunk_rows: int = 4096,
-        codec: str = "none",
-        spill_codec: str = "zlib",
-    ) -> None:
-        # Fail fast on unknown codecs (config validation routes here too).
-        get_codec(codec)
-        get_codec(spill_codec)
-        self.chunk_rows = int(chunk_rows)
-        self.codec = codec
-        self.spill_codec = spill_codec
-        self.kernels = KernelEngine(chunk_rows=self.chunk_rows, codec=codec)
+    def __init__(self) -> None:
+        self.kernels = KernelEngine()
         # rdd_id -> structural verdict.  True means "this rdd has produced
         # an encodable partition" (heterogeneous splits may still decline
         # individually); False means a non-empty partition was structurally
@@ -53,7 +41,7 @@ class ColumnarBackend:
             return data
         if self._eligibility.get(rdd.rdd_id) is False:
             return data
-        batch = ColumnarBatch.from_records(data, self.chunk_rows, self.codec)
+        batch = ColumnarBatch.from_records(data)
         if batch is None:
             if data:  # empty partitions stay undecided
                 self._eligibility[rdd.rdd_id] = False
@@ -64,17 +52,3 @@ class ColumnarBackend:
         if metrics is not None:
             metrics.columnar_batches_encoded += 1
         return batch
-
-    # -- tier transitions ----------------------------------------------
-
-    def to_disk_tier(self, data: Any) -> bool:
-        """Transcode a batch to the spill codec; True if a transition ran."""
-        if isinstance(data, ColumnarBatch):
-            return data.transcode(self.spill_codec)
-        return False
-
-    def to_memory_tier(self, data: Any) -> bool:
-        """Transcode a batch back to the memory codec on promotion."""
-        if isinstance(data, ColumnarBatch):
-            return data.transcode(self.codec)
-        return False

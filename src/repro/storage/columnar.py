@@ -1,4 +1,4 @@
-"""ColumnarBatch: a chunked, optionally compressed numpy record batch.
+"""ColumnarBatch: a chunked numpy record batch, raw in memory, zlib on disk.
 
 A batch is an *exact* stand-in for the Python list it was encoded from: it
 is an immutable sequence whose iteration, indexing, and length reproduce
@@ -15,20 +15,33 @@ Two layouts are supported:
   scalars with a homogeneous Python type per field — k columns.  Int-keyed
   pairs (the shuffle fast path) are the common case.
 
-Storage is chunked: each chunk holds one encoded payload per column under
-a single codec name, so re-pricing a batch for a different tier (memory
-<-> disk) is :meth:`transcode` — a codec transition, not a
-re-serialization of Python objects.  ``nbytes`` is the measured sum of
-stored payload sizes, i.e. the compressed size for compressed chunks.
+Storage is chunked at :data:`CHUNK_ROWS` rows: each chunk holds one
+payload per column under the batch's codec.  There are exactly two
+codecs, one per tier: the memory tier (:data:`MEMORY_CODEC`) holds the raw
+numpy columns, the disk tier (:data:`DISK_CODEC`) holds them
+zlib-compressed at level 1.  Moving a batch between tiers is
+:meth:`transcode` — a codec transition, not a re-serialization of Python
+objects.  ``nbytes`` is the measured sum of stored payload sizes, i.e.
+the compressed size on the disk tier.  The engine never prices a
+partition by it: modelled sizes come from the declared ``SizeModel``.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Iterator
 
 import numpy as np
 
-from .codecs import get_codec
+#: Rows per chunk: a tier move re-encodes one chunk of columns at a time.
+CHUNK_ROWS = 4096
+#: The memory tier's codec: the raw numpy columns, zero copy.
+MEMORY_CODEC = "none"
+#: The disk tier's codec: DEFLATE-compressed column bytes.
+DISK_CODEC = "zlib"
+# Level 1 favors throughput: chunk payloads are small and the win over
+# higher levels is marginal on numeric columns.
+_ZLIB_LEVEL = 1
 
 # Tuples wider than this are not worth columnarizing (and real workload
 # records never get close); also bounds the per-batch metadata footprint.
@@ -42,6 +55,11 @@ _DTYPE_BY_TYPE: dict[type, np.dtype] = {
 }
 
 _SUPPORTED_DTYPES = frozenset(_DTYPE_BY_TYPE.values())
+
+
+def _compress(arr: np.ndarray) -> bytes:
+    """One column chunk's disk-tier payload."""
+    return zlib.compress(np.ascontiguousarray(arr).tobytes(), _ZLIB_LEVEL)
 
 
 def _column_array(col: tuple[Any, ...] | list[Any]) -> np.ndarray | None:
@@ -79,37 +97,24 @@ class ColumnarBatch:
 
     __slots__ = ("_n", "_arity", "_dtypes", "_chunks", "_codec_name", "_cols_cache")
 
-    def __init__(
-        self,
-        arrays: list[np.ndarray],
-        arity: int | None,
-        chunk_rows: int,
-        codec: str,
-    ) -> None:
+    def __init__(self, arrays: list[np.ndarray], arity: int | None) -> None:
         n = int(arrays[0].shape[0]) if arrays else 0
         self._n = n
         self._arity = arity
         self._dtypes = tuple(a.dtype for a in arrays)
-        self._codec_name = codec
+        self._codec_name = MEMORY_CODEC
         self._cols_cache: tuple[np.ndarray, ...] | None = None
-        c = get_codec(codec)
-        chunk_rows = max(1, int(chunk_rows))
-        chunks: list[_Chunk] = []
-        for lo in range(0, n, chunk_rows):
-            hi = min(lo + chunk_rows, n)
-            chunks.append(_Chunk(hi - lo, [c.encode(a[lo:hi]) for a in arrays]))
-        self._chunks = chunks
+        self._chunks = [
+            _Chunk(min(CHUNK_ROWS, n - lo), [a[lo:lo + CHUNK_ROWS] for a in arrays])
+            for lo in range(0, n, CHUNK_ROWS)
+        ]
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_records(
-        cls,
-        records: list[Any],
-        chunk_rows: int = 4096,
-        codec: str = "none",
-    ) -> "ColumnarBatch | None":
-        """Encode a list of records, or return None if it isn't analyzable.
+    def from_records(cls, records: list[Any]) -> "ColumnarBatch | None":
+        """Encode a list of records on the memory tier, or return None if
+        it isn't analyzable.
 
         Empty lists return None (there is nothing to type-analyze, and an
         empty list is already as small as it gets).
@@ -138,23 +143,17 @@ class ColumnarBatch:
             if arr is None:
                 return None
             arrays.append(arr)
-        return cls(arrays, arity, chunk_rows, codec)
+        return cls(arrays, arity)
 
     @classmethod
-    def from_columns(
-        cls,
-        arrays: list[np.ndarray],
-        arity: int | None,
-        chunk_rows: int = 4096,
-        codec: str = "none",
-    ) -> "ColumnarBatch":
+    def from_columns(cls, arrays: list[np.ndarray], arity: int | None) -> "ColumnarBatch":
         """Build from already-validated column arrays (the kernel exit path)."""
         for a in arrays:
             if a.ndim != 1 or a.dtype not in _SUPPORTED_DTYPES:
                 raise ValueError(f"unsupported column array {a.dtype!r}/{a.ndim}d")
         if arity is not None and len(arrays) != arity:
             raise ValueError("column count does not match arity")
-        return cls(arrays, arity, chunk_rows, codec)
+        return cls(arrays, arity)
 
     # -- sequence protocol ---------------------------------------------
 
@@ -218,14 +217,19 @@ class ColumnarBatch:
         return (self._arity, tuple(dt.char for dt in self._dtypes))
 
     def _decode_column(self, chunk: _Chunk, i: int) -> np.ndarray:
-        return get_codec(self._codec_name).decode(
-            chunk.payloads[i], self._dtypes[i], chunk.n_rows
+        payload = chunk.payloads[i]
+        if self._codec_name == MEMORY_CODEC:
+            return payload
+        # frombuffer yields a read-only view of the decompressed bytes —
+        # exactly right for immutable partitions.
+        return np.frombuffer(
+            zlib.decompress(payload), dtype=self._dtypes[i], count=chunk.n_rows
         )
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """Full column arrays (concatenated across chunks), for kernels.
 
-        Cached only under the null codec, where the arrays are (for a
+        Cached only on the memory tier, where the arrays are (for a
         single chunk) the stored payloads themselves.
         """
         if self._cols_cache is not None:
@@ -241,7 +245,7 @@ class ColumnarBatch:
                 else np.empty(0, dtype=self._dtypes[i])
                 for i in range(n_cols)
             )
-        if self._codec_name == "none":
+        if self._codec_name == MEMORY_CODEC:
             self._cols_cache = cols
         return cols
 
@@ -262,14 +266,15 @@ class ColumnarBatch:
     @property
     def nbytes(self) -> int:
         """Measured stored bytes: payload sizes under the current codec."""
-        c = get_codec(self._codec_name)
-        return sum(
-            c.payload_nbytes(p) for chunk in self._chunks for p in chunk.payloads
-        )
+        payloads = (p for chunk in self._chunks for p in chunk.payloads)
+        if self._codec_name == MEMORY_CODEC:
+            return sum(int(p.nbytes) for p in payloads)
+        return sum(len(p) for p in payloads)
 
     def transcode(self, codec: str) -> bool:
-        """Re-encode every chunk under `codec`, in place.  Returns True if
-        a transition happened (no-op when already under that codec).
+        """Re-encode every chunk under `codec` (:data:`MEMORY_CODEC` or
+        :data:`DISK_CODEC`), in place.  Returns True if a transition
+        happened (no-op when already under that codec).
 
         Logical content is untouched, so transcoding is safe under shared
         references (dedup'd blocks, task memos): every reader sees the
@@ -277,12 +282,15 @@ class ColumnarBatch:
         """
         if codec == self._codec_name:
             return False
-        new_codec = get_codec(codec)
+        if codec not in (MEMORY_CODEC, DISK_CODEC):
+            raise ValueError(
+                f"unknown columnar codec {codec!r} "
+                f"(expected {MEMORY_CODEC!r} or {DISK_CODEC!r})"
+            )
+        n_cols = len(self._dtypes)
         for chunk in self._chunks:
-            chunk.payloads = [
-                new_codec.encode(self._decode_column(chunk, i))
-                for i in range(len(self._dtypes))
-            ]
+            cols = [self._decode_column(chunk, i) for i in range(n_cols)]
+            chunk.payloads = cols if codec == MEMORY_CODEC else list(map(_compress, cols))
         self._codec_name = codec
         self._cols_cache = None
         return True

@@ -168,9 +168,7 @@ class KernelEngine:
     ``True`` compiled, ``False`` permanently fallen back.
     """
 
-    def __init__(self, chunk_rows: int = 4096, codec: str = "none") -> None:
-        self.chunk_rows = chunk_rows
-        self.codec = codec
+    def __init__(self) -> None:
         self._compiled: dict[tuple[int, tuple[Any, ...]], bool] = {}
 
     def run_chain(
@@ -266,5 +264,5 @@ class KernelEngine:
                     raise KernelUnsupported
                 if is_mid:
                     stage_n_outs.append(n)
-        body = ColumnarBatch.from_columns(cols, arity, self.chunk_rows, self.codec)
+        body = ColumnarBatch.from_columns(cols, arity)
         return body, stage_n_outs

@@ -48,8 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: BlazeConfig field names accepted as ``make_system`` overrides for
 #: blaze-kind systems.  This includes the fault-injection knobs
-#: (``fault_injection``, ``fault_max_task_retries``,
-#: ``fault_retry_backoff_seconds``), so e.g.
+#: (``fault_injection``, ``fault_max_task_retries``), so e.g.
 #: ``make_system("blaze", fault_injection=True)`` arms a preset for a
 #: faulted run without a hand-built BlazeConfig.
 _BLAZE_FIELDS = frozenset(f.name for f in dataclasses.fields(BlazeConfig))

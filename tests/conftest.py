@@ -11,6 +11,7 @@ from repro.caching.storage_level import StorageMode
 from repro.config import ClusterConfig, DiskConfig, GiB, MiB
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.fusion import FusionPlanner
+from repro.storage.backend import ColumnarBackend
 
 
 def make_cluster_config(
@@ -64,6 +65,26 @@ def unfused():
 
     def patch():
         return mock.patch.object(FusionPlanner, "plan_for", lambda self, rdd: None)
+
+    return patch
+
+
+@pytest.fixture(scope="session")
+def list_plane():
+    """``with list_plane(): ...`` runs the engine with no columnar batch.
+
+    Stubs ``ColumnarBackend.encode_for_cache`` to hand every partition
+    back unchanged, so cached partitions stay Python lists, no kernel
+    runs and no tier move transcodes — the list oracle the columnar plane
+    is compared against.  Session-scoped (it holds no state) so
+    Hypothesis tests may request it.
+    """
+
+    def patch():
+        return mock.patch.object(
+            ColumnarBackend, "encode_for_cache",
+            lambda self, rdd, data, metrics=None: data,
+        )
 
     return patch
 

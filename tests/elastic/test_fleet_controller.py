@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import zlib
+
+import numpy as np
+
 from repro.config import (
     BlazeConfig,
     ClusterConfig,
@@ -14,6 +18,8 @@ from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
 from repro.elastic import FleetController, ScaleSchedule, ScaleSpec
+from repro.metrics.collector import TaskMetrics
+from repro.storage.columnar import DISK_CODEC, MEMORY_CODEC, ColumnarBatch
 
 
 def _ctx(num_executors=3, memory_mb=256, **elastic_kwargs):
@@ -74,6 +80,36 @@ def test_scale_up_provisions_and_wires_new_executors():
     assert sorted(data.collect()) == expected
     assert ctx.metrics.scale_ups == 1
     assert ctx.metrics.executors_added == 2
+    ctx.stop()
+
+
+def test_scale_up_executor_spills_columnar_blocks_compressed():
+    """An executor added by a scale-up moves a cached batch across the
+    memory/disk boundary as a codec transition, like the original fleet."""
+    ctx = _ctx(num_executors=2)
+    controller = _make(ctx, [ScaleSpec(0.0, "scale_up", count=2)])
+    controller.poll(ctx.cluster.clock.now, job_id=0)
+    data, expected = _cache_some(ctx)
+    new = ctx.cluster.executors[3]
+    block = next(iter(new.bm.memory.blocks()))
+    batch = block.data
+    assert isinstance(batch, ColumnarBatch)
+    assert batch.codec_name == MEMORY_CODEC
+    records = list(batch)
+    before = ctx.metrics.codec_transitions
+
+    tm = TaskMetrics()
+    new.bm.spill_to_disk(block.block_id, tm)
+    on_disk = new.bm.disk.get(block.block_id).data
+    assert on_disk is batch and batch.codec_name == DISK_CODEC
+    # one chunk, one int64 column, stored as its zlib level-1 bytes
+    raw = np.asarray(records, dtype=np.int64).tobytes()
+    assert batch.nbytes == len(zlib.compress(raw, 1)) < len(raw)
+    assert list(new.bm.read_from_disk(block.block_id, tm).data) == records
+    assert new.bm.promote_to_memory(block.block_id) is block
+    assert batch.codec_name == MEMORY_CODEC
+    assert ctx.metrics.codec_transitions == before + 2
+    assert sorted(data.collect()) == expected
     ctx.stop()
 
 

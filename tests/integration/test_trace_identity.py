@@ -60,7 +60,7 @@ def _pressure_cluster() -> ClusterConfig:
 
 def _trace(system: str,
            workload: str = "pr", schedule: FaultSchedule | None = None,
-           obs: bool = False, columnar: bool = True,
+           obs: bool = False,
            workload_overrides: dict | None = None,
            require_evictions: bool = True,
            min_kernel_partitions: int = 0,
@@ -84,7 +84,6 @@ def _trace(system: str,
         blaze_config=BlazeConfig(
             fault_injection=schedule is not None,
             obs=ObsConfig(enabled=obs),
-            columnar_backend=columnar,
             sharded_engine=sharded, num_shards=2,
             elastic=ElasticConfig(enabled=elastic),
         ),
@@ -323,15 +322,17 @@ def test_obs_trace_is_byte_identical(system):
     assert _trace(system, obs=False) == _trace(system, obs=True)
 
 
-# The columnar backend (PR 8) stores analyzable partitions as numpy record
-# batches and runs fused chains through vectorized kernels, yet every
-# preset must emit the byte-exact trace with ``columnar_backend`` on vs.
-# off: encode happens after sizing-relevant weights are fixed, kernels
+# The columnar plane stores analyzable partitions as numpy record batches
+# and runs fused chains through vectorized kernels, yet every preset must
+# emit the byte-exact trace it emits under the ``list_plane`` fixture,
+# where no batch ever exists: sizes are declared, never measured, kernels
 # replay the iterator pipeline's charges with identical float math, and
 # tier movement only transcodes codecs.
 @pytest.mark.parametrize("system", sorted(SYSTEMS))
-def test_columnar_trace_is_byte_identical(system):
-    assert _trace(system, columnar=False) == _trace(system, columnar=True)
+def test_columnar_trace_is_byte_identical(system, list_plane):
+    with list_plane():
+        oracle = _trace(system)
+    assert oracle == _trace(system)
 
 
 # PageRank's adjacency partitions exercise fallback; the chain workload's
@@ -341,24 +342,26 @@ def test_columnar_trace_is_byte_identical(system):
 # spill-codec path — while the action results pin value identity; the
 # non-vacuity condition here is kernel engagement on the columnar side.
 @pytest.mark.parametrize("system", ["blaze", "costaware", "spark_mem_disk"])
-def test_columnar_chain_trace_is_byte_identical(system):
+def test_columnar_chain_trace_is_byte_identical(system, list_plane):
     overrides = {"record_bytes": 0.3 * MiB}
-    assert _trace(
-        system, workload="chain", columnar=False,
-        workload_overrides=overrides, require_evictions=False,
-    ) == _trace(
-        system, workload="chain", columnar=True,
+    with list_plane():
+        oracle = _trace(
+            system, workload="chain",
+            workload_overrides=overrides, require_evictions=False,
+        )
+    assert oracle == _trace(
+        system, workload="chain",
         workload_overrides=overrides, require_evictions=False,
         min_kernel_partitions=1,
     )
 
 
 @pytest.mark.parametrize("system", ["blaze", "spark_mem_disk"])
-def test_columnar_faulted_trace_is_byte_identical(system):
+def test_columnar_faulted_trace_is_byte_identical(system, list_plane):
     schedule = _fault_schedule()
-    assert _trace(system, schedule=schedule, columnar=False) == _trace(
-        system, schedule=schedule, columnar=True
-    )
+    with list_plane():
+        oracle = _trace(system, schedule=schedule)
+    assert oracle == _trace(system, schedule=schedule)
 
 
 # The sharded engine (PR 9) fans the data plane out across shard workers

@@ -1,19 +1,21 @@
 """Property tests: the columnar backend is observationally invisible.
 
-Randomized narrow-op programs run twice — ``columnar_backend`` off and on
-— over the same seed, with data drawn from analyzable (int) and
-non-analyzable (string / mixed) pools so both the kernel path and the
-per-split fallback are exercised.  The columnar run must match the list
+Randomized narrow-op programs run twice — under the ``list_plane``
+fixture and on the columnar plane — over the same seed, with data drawn
+from analyzable (int) and non-analyzable (string / mixed) pools so both
+the kernel path and the per-split fallback are exercised.  The columnar run must match the list
 oracle in everything the engine exposes: per-partition element lists
 (order and Python types included), the TaskMetrics ledger, eviction
 counts, and the byte-exact JSONL trace.
 
 A second group property-checks the storage layer itself: encode/decode
-round-trips are lossless for every registered codec, and ``nbytes`` under
-the null codec is exactly the raw column footprint.
+round-trips are lossless under both tier codecs at any chunk height, and
+``nbytes`` on the memory tier is exactly the raw column footprint.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,8 +24,8 @@ from repro.caching.storage_level import StorageMode
 from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, MiB
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
-from repro.storage.codecs import available_codecs
-from repro.storage.columnar import ColumnarBatch
+from repro.storage import columnar as columnar_module
+from repro.storage.columnar import DISK_CODEC, MEMORY_CODEC, ColumnarBatch
 from repro.systems.presets import make_system
 from repro.tracing import InMemoryTracer, to_jsonl
 
@@ -58,9 +60,9 @@ def _manager(system: str, bcfg: BlazeConfig):
     return make_system(system).build(profile=None, blaze_config=bcfg)
 
 
-def _run_program(system, steps, data, width, seed, columnar):
+def _run_program(system, steps, data, width, seed):
     """Build the random DAG, run its actions twice, snapshot observables."""
-    bcfg = BlazeConfig(columnar_backend=columnar)
+    bcfg = BlazeConfig()
     tracer = InMemoryTracer()
     ctx = BlazeContext(
         ClusterConfig(
@@ -120,32 +122,34 @@ def _run_program(system, steps, data, width, seed, columnar):
 
 @settings(max_examples=40, deadline=None)
 @given(system=_systems, steps=_steps, data=_data, width=_widths, seed=_seeds)
-def test_columnar_matches_list_oracle(system, steps, data, width, seed):
-    off = _run_program(system, steps, data, width, seed, columnar=False)
-    on = _run_program(system, steps, data, width, seed, columnar=True)
+def test_columnar_matches_list_oracle(system, steps, data, width, seed, list_plane):
+    with list_plane():
+        off = _run_program(system, steps, data, width, seed)
+    on = _run_program(system, steps, data, width, seed)
     assert on["partitions"] == off["partitions"]
     assert on["error"] == off["error"]
     assert on["metrics"] == off["metrics"]
     assert on["evictions"] == off["evictions"]
     assert on["trace"] == off["trace"]
     assert on["counters"]["ilp_nodes"] == off["counters"]["ilp_nodes"]
-    # the kill switch really kills the layer
+    # the list plane really has no columnar layer
     assert off["encoded"] == 0 and off["kernel_partitions"] == 0
     assert off["counters"]["kernel_chains_compiled"] == 0
     assert off["counters"]["codec_transitions"] == 0
 
 
-def test_kernels_actually_fire():
+def test_kernels_actually_fire(list_plane):
     """Guard against the property passing vacuously: an int chain with a
     cached source must encode batches and run at least one kernel split.
     Both planes fuse the chain, pipeline partitions and hit the
     ``bytes_for`` memo."""
     steps = [("cache", 0), ("map", 1), ("map", 2), ("filter", 3)]
-    on = _run_program("spark", steps, list(range(200)), 2, 0, columnar=True)
+    on = _run_program("spark", steps, list(range(200)), 2, 0)
     assert on["encoded"] > 0
     assert on["kernel_partitions"] > 0
     assert on["counters"]["kernel_chains_compiled"] > 0
-    off = _run_program("spark", steps, list(range(200)), 2, 0, columnar=False)
+    with list_plane():
+        off = _run_program("spark", steps, list(range(200)), 2, 0)
     for counters in (off["counters"], on["counters"]):
         assert counters["chains_fused"] > 0
         assert counters["partitions_pipelined"] > 0
@@ -154,7 +158,7 @@ def test_kernels_actually_fire():
 
 def test_string_data_never_encodes():
     steps = [("cache", 0), ("map", 0)]
-    on = _run_program("spark", steps, ["a", "bb"] * 20, 2, 0, columnar=True)
+    on = _run_program("spark", steps, ["a", "bb"] * 20, 2, 0)
     assert on["encoded"] == 0
     assert on["kernel_partitions"] == 0
 
@@ -171,7 +175,7 @@ _pair_records = st.lists(
     min_size=1,
     max_size=200,
 )
-_codecs = st.sampled_from(sorted(available_codecs()))
+_codecs = st.sampled_from([MEMORY_CODEC, DISK_CODEC])
 _chunk_rows = st.integers(min_value=1, max_value=64)
 
 
@@ -183,8 +187,12 @@ _chunk_rows = st.integers(min_value=1, max_value=64)
     chunk_rows=_chunk_rows,
 )
 def test_codec_round_trip_lossless(records, codec, other, chunk_rows):
-    batch = ColumnarBatch.from_records(records, chunk_rows=chunk_rows, codec=codec)
+    # a small chunk height puts chunk boundaries inside these short batches
+    with mock.patch.object(columnar_module, "CHUNK_ROWS", chunk_rows):
+        batch = ColumnarBatch.from_records(records)
     assert batch is not None
+    assert batch.num_chunks == -(-len(records) // chunk_rows)
+    batch.transcode(codec)
     assert list(batch) == records
     assert batch.nbytes >= 0
     batch.transcode(other)
@@ -194,8 +202,8 @@ def test_codec_round_trip_lossless(records, codec, other, chunk_rows):
 @settings(max_examples=40, deadline=None)
 @given(records=_pair_records, extra=st.integers(min_value=1, max_value=50))
 def test_null_codec_nbytes_is_exact_and_monotone(records, extra):
-    base = ColumnarBatch.from_records(records, codec="none")
-    grown = ColumnarBatch.from_records(records + records[:1] * extra, codec="none")
+    base = ColumnarBatch.from_records(records)
+    grown = ColumnarBatch.from_records(records + records[:1] * extra)
     assert base.nbytes == len(records) * 16  # int64 + float64 per row
     assert grown.nbytes == base.nbytes + extra * 16
 
@@ -203,7 +211,8 @@ def test_null_codec_nbytes_is_exact_and_monotone(records, extra):
 @settings(max_examples=40, deadline=None)
 @given(records=_scalar_records)
 def test_compressed_nbytes_positive_and_decodable(records):
-    batch = ColumnarBatch.from_records(records, codec="zlib")
+    batch = ColumnarBatch.from_records(records)
+    batch.transcode(DISK_CODEC)
     assert batch.nbytes > 0
     assert list(batch) == records
     col = batch.columns()[0]  # decoded view is the full-width raw column

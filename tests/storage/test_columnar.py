@@ -1,4 +1,4 @@
-"""Unit tests for the columnar storage package: batches, codecs, tiering.
+"""Unit tests for the columnar storage package: batches, tier codecs, tiering.
 
 The contract under test: a :class:`ColumnarBatch` is an exact stand-in
 for the list it encodes (iteration/indexing/length bit-identical),
@@ -8,6 +8,8 @@ tier movement is a codec transition that never touches logical content.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from repro.cluster.blockmanager import BlockManager
 from repro.cluster.blocks import Block, BlockLocation
 from repro.config import ClusterConfig, DiskConfig, MiB
 from repro.metrics.collector import MetricsCollector, TaskMetrics
+from repro.storage import columnar as columnar_module
 from repro.storage.backend import ColumnarBackend
-from repro.storage.codecs import available_codecs, get_codec
-from repro.storage.columnar import ColumnarBatch
+from repro.storage.columnar import DISK_CODEC, MEMORY_CODEC, ColumnarBatch
 
 
 # -- eligibility matrix -------------------------------------------------
@@ -77,7 +79,8 @@ def test_round_trip_preserves_python_types():
 
 def test_len_getitem_slice_negative_index():
     records = [(i, float(i) * 0.5) for i in range(10)]
-    batch = ColumnarBatch.from_records(records, chunk_rows=3)
+    with mock.patch.object(columnar_module, "CHUNK_ROWS", 3):
+        batch = ColumnarBatch.from_records(records)
     assert len(batch) == 10
     assert batch.num_chunks == 4
     assert batch[0] == records[0]
@@ -120,30 +123,24 @@ def test_from_columns_validation():
         ColumnarBatch.from_columns([np.arange(4, dtype=np.int64)], arity=2)
 
 
-# -- codecs + nbytes ----------------------------------------------------
+# -- tier codecs + nbytes -----------------------------------------------
 
 
-def test_codec_registry():
-    assert "none" in available_codecs()
-    assert "zlib" in available_codecs()
-    with pytest.raises(ValueError):
-        get_codec("snappy-not-registered")
-
-
-@pytest.mark.parametrize("codec", sorted(available_codecs()))
+@pytest.mark.parametrize("codec", [MEMORY_CODEC, DISK_CODEC])
 def test_codec_round_trip_is_lossless(codec):
-    c = get_codec(codec)
     for arr in (
         np.arange(100, dtype=np.int64) - 50,
         np.linspace(-1.0, 1.0, 37),
         np.array([True, False] * 9),
         np.empty(0, dtype=np.float64),
     ):
-        payload = c.encode(arr)
-        back = c.decode(payload, arr.dtype, len(arr))
+        batch = ColumnarBatch.from_columns([arr], arity=None)
+        batch.transcode(codec)
+        assert batch.codec_name == codec
+        (back,) = batch.columns()
         assert back.dtype == arr.dtype
         np.testing.assert_array_equal(back, arr)
-        assert c.payload_nbytes(payload) >= 0
+        assert batch.nbytes >= 0
 
 
 def test_null_codec_nbytes_grows_with_rows():
@@ -155,8 +152,9 @@ def test_null_codec_nbytes_grows_with_rows():
 
 def test_zlib_compresses_constant_columns():
     records = [(1, 0.0)] * 4096
-    raw = ColumnarBatch.from_records(records, codec="none")
-    packed = ColumnarBatch.from_records(records, codec="zlib")
+    raw = ColumnarBatch.from_records(records)
+    packed = ColumnarBatch.from_records(records)
+    packed.transcode(DISK_CODEC)
     assert packed.nbytes > 0
     assert packed.nbytes < raw.nbytes
     assert list(packed) == records
@@ -164,7 +162,9 @@ def test_zlib_compresses_constant_columns():
 
 def test_transcode_round_trip_in_place():
     records = [(i % 7, float(i)) for i in range(300)]
-    batch = ColumnarBatch.from_records(records, chunk_rows=64)
+    with mock.patch.object(columnar_module, "CHUNK_ROWS", 64):
+        batch = ColumnarBatch.from_records(records)
+    assert batch.num_chunks == 5
     assert batch.codec_name == "none"
     assert batch.transcode("zlib") is True
     assert batch.codec_name == "zlib"
@@ -173,18 +173,15 @@ def test_transcode_round_trip_in_place():
     assert batch.transcode("none") is True
     assert list(batch) == records
     assert batch.nbytes == 300 * 16
+    with pytest.raises(ValueError):
+        batch.transcode("snappy")
 
 
 # -- backend + tier transitions ----------------------------------------
 
 
-class _FakeSizeModel:
-    measured = False
-
-
 class _FakeRDD:
     size_weigher = None
-    size_model = _FakeSizeModel()
     rdd_id = 1
 
 
@@ -218,7 +215,6 @@ def test_spill_and_promote_are_codec_transitions():
     )
     metrics = MetricsCollector()
     bm = BlockManager(0, config, metrics)
-    bm.columnar = ColumnarBackend(codec="none", spill_codec="zlib")
 
     records = [(i % 3, 1.0) for i in range(2048)]
     batch = ColumnarBatch.from_records(records)
@@ -252,7 +248,6 @@ def test_list_blocks_never_transcode():
     )
     metrics = MetricsCollector()
     bm = BlockManager(0, config, metrics)
-    bm.columnar = ColumnarBackend()
     block = Block(block_id=(1, 0), data=["plain", "list"], size_bytes=1 * MiB)
     bm.insert_memory(block)
     bm.spill_to_disk(block.block_id, TaskMetrics())
