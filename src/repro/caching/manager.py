@@ -22,7 +22,8 @@ from ..cluster.blocks import Block
 from ..cluster.cachemanager import CacheManager
 from ..dataflow.dag import job_reference_sets
 from ..metrics.collector import TaskMetrics
-from ..obs.audit import CandidateTerm, make_terms
+from ..obs.audit import CandidateTerm
+from ..service.tenancy import take_tiered
 from ..tracing.tracer import executor_pid
 from .mrd import _NO_FUTURE_USE
 from .policy import EvictionPolicy, make_policy
@@ -120,15 +121,7 @@ class SparkCacheManager(CacheManager):
         policy = self.policy_for(executor)
         now = self.cluster.clock.now
         tenancy = self.cluster.tenancy
-        tenant = tenancy.current_tenant if tenancy is not None else None
-        block = Block(
-            block_id=(rdd.rdd_id, split),
-            data=data,
-            size_bytes=size_bytes,
-            ser_factor=rdd.size_model.ser_factor,
-            rdd_name=rdd.name,
-            tenant=tenant,
-        )
+        block = self._new_block(rdd, split, data, size_bytes)
         if isinstance(policy, TinyLFUPolicy):
             policy.record_candidate(rdd.rdd_id)
 
@@ -147,12 +140,14 @@ class SparkCacheManager(CacheManager):
         needed = size_bytes - bm.memory.free_bytes
         if tenancy is not None and tenancy.quotas_active:
             # Quota mode replaces the pluggable policy's selection with
-            # fairness-aware tiering (see docs/service.md): a requester
-            # that would exceed its quota may only displace its own
-            # blocks, and within-quota tenants' blocks are always the
-            # last resort.  Never reached on legacy single-tenant runs.
-            victims = self._quota_select_victims(
-                bm, needed, rdd.rdd_id, tenant, size_bytes
+            # the fairness tiers (see docs/service.md), LRU within a tier.
+            # Never reached on legacy single-tenant runs.
+            tier_of, own_need = tenancy.victim_tiers(
+                self.cluster, block.tenant, size_bytes
+            )
+            victims, _scanned = take_tiered(
+                sorted(bm.memory.blocks(), key=lambda b: (b.last_access, b.block_id)),
+                needed, rdd.rdd_id, tier_of, block.tenant, own_need,
             )
         else:
             victims = policy.select_victims(bm.memory, needed, rdd.rdd_id, now)
@@ -180,16 +175,13 @@ class SparkCacheManager(CacheManager):
 
         pre = self._audit_candidates(victims) if self.audit is not None else ()
         victim_state = "disk" if self.storage_mode.spills_to_disk else "gone"
+        states = []
         for victim in victims:
             policy.on_remove(victim)
-            if self.storage_mode.spills_to_disk:
-                bm.spill_to_disk(
-                    victim.block_id,
-                    tm,
-                    include_ser=not self.storage_mode.serialized_in_memory,
-                )
-            else:
-                bm.discard(victim.block_id, evicted=True)
+            states.append(self._evict(
+                bm, victim.block_id, victim_state, tm,
+                include_ser=not self.storage_mode.serialized_in_memory,
+            ))
 
         if self.storage_mode.serialized_in_memory:
             bm.charge_memory_ser(block, tm)
@@ -200,7 +192,7 @@ class SparkCacheManager(CacheManager):
             self._audit_decision(
                 executor, block, outcome="memory",
                 reason="displaced" if victims else "free_space",
-                candidates=pre, states=[victim_state] * len(victims),
+                candidates=pre, states=states,
             )
 
     # ------------------------------------------------------------------
@@ -214,87 +206,6 @@ class SparkCacheManager(CacheManager):
             )
             for v in victims
         )
-
-    def _audit_decision(
-        self,
-        executor: "Executor",
-        block: Block,
-        *,
-        outcome: str,
-        reason: str,
-        candidates: tuple = (),
-        states: list | tuple = (),
-    ) -> None:
-        if states:
-            candidates = tuple(
-                c._replace(chosen_state=s) for c, s in zip(candidates, states)
-            )
-        self.audit.record(
-            ts=self.cluster.clock.now,
-            kind="admit" if outcome == "memory" else "reject",
-            executor_id=executor.executor_id,
-            outcome=outcome,
-            reason=reason,
-            rdd_id=block.rdd_id,
-            split=block.split,
-            size_bytes=block.size_bytes,
-            tenant=block.tenant,
-            terms=make_terms(),
-            candidates=tuple(candidates),
-        )
-
-    # ------------------------------------------------------------------
-    def _quota_select_victims(
-        self,
-        bm,
-        needed: float,
-        incoming_rdd_id: int,
-        tenant: str | None,
-        size_bytes: float,
-    ) -> list[Block] | None:
-        """Fairness-tiered victim selection under active tenant quotas.
-
-        Two constraints must hold after the insert: executor capacity
-        (``needed`` bytes freed here) and the requester's aggregate quota
-        (own blocks evicted anywhere count against usage).  Victim tiers:
-        over-quota tenants' blocks first, then the requester's own (and
-        ownerless) blocks, then — only if the requester stays within its
-        quota — other within-quota tenants' blocks.  Returns None when the
-        constraints cannot be met, which routes the insert to disk.
-        """
-        tenancy = self.cluster.tenancy
-        quota = tenancy.quota_of(tenant)
-        usage = tenancy.memory_used_by(self.cluster, tenant)
-        over_after = quota is not None and usage + size_bytes > quota
-        need_quota_free = max(0.0, usage + size_bytes - quota) if quota is not None else 0.0
-
-        tiers: list[tuple[int, float, tuple, Block]] = []
-        for block in bm.memory.blocks():
-            if block.rdd_id == incoming_rdd_id:
-                continue
-            if block.tenant == tenant or block.tenant is None:
-                tier = 1
-            elif tenancy.is_over_quota(self.cluster, block.tenant):
-                tier = 0
-            elif over_after:
-                continue  # protected: within-quota block of another tenant
-            else:
-                tier = 2
-            tiers.append((tier, block.last_access, block.block_id, block))
-        tiers.sort(key=lambda entry: entry[:3])
-
-        victims: list[Block] = []
-        freed = own_freed = 0.0
-        for _tier, _la, _bid, block in tiers:
-            if freed >= needed and own_freed >= need_quota_free:
-                break
-            victims.append(block)
-            freed += block.size_bytes
-            if block.tenant == tenant:
-                own_freed += block.size_bytes
-        if freed < needed or own_freed < need_quota_free:
-            return None
-        return victims
 
     # ------------------------------------------------------------------
     def on_memory_hit(self, executor: "Executor", block: Block, tm: TaskMetrics) -> None:
@@ -345,13 +256,10 @@ class SparkCacheManager(CacheManager):
                     break
                 if not bm.memory.fits(block.size_bytes):
                     break
-                bm.read_from_disk(block.block_id, tm)
-                promoted = bm.promote_to_memory(block.block_id)
+                promoted = self._prefetch(executor, block.block_id, tm)
                 if promoted is None:  # pragma: no cover - fits() guarded above
                     break
                 policy.on_insert(promoted, now)
-                promoted.touch(now)
-                self.cluster.metrics.record_prefetch(executor.executor_id)
                 if self.tracer.enabled:
                     self.tracer.instant(
                         "cache.prefetch", "cache",

@@ -18,6 +18,20 @@ hooks at well-defined points:
 The engine itself never embeds policy: all caching, eviction, and recovery
 *decisions* flow through this interface, which is precisely the separation
 the paper's "three operational layers" discussion is about.
+
+The *mechanism* under those decisions is shared, one home each, so that a
+manager keeps only its decisions:
+
+- :meth:`CacheManager._new_block` — the tenant-tagged block a produced
+  partition is stored as;
+- :meth:`CacheManager._evict` — one memory victim carried to its chosen
+  state (remote with a disk fallback, disk, or gone);
+- :meth:`CacheManager._prefetch` — a disk block read back and promoted
+  between tasks (MRD's prefetch, the ILP's promotions);
+- :meth:`CacheManager._audit_decision` — the one audit record of an
+  admission or rejection;
+- the quota fairness-tier rule, in ``repro.service.tenancy``
+  (``TenantRegistry.victim_tiers`` and ``take_tiered``).
 """
 
 from __future__ import annotations
@@ -26,12 +40,14 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any
 
 from ..tracing.tracer import NULL_TRACER, Tracer
+from .blocks import Block, BlockId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..dataflow.dag import Job, JobStream, Stage
     from ..dataflow.rdd import RDD
     from ..metrics.collector import TaskMetrics
-    from .blocks import Block
+    from ..obs.audit import CandidateTerm
+    from .blockmanager import BlockManager
     from .cluster import Cluster
     from .executor import Executor
 
@@ -200,3 +216,93 @@ class CacheManager(ABC):
         produce no samples.
         """
         return None
+
+    # ------------------------------------------------------------------
+    # Shared mechanism (every manager's decisions run through these)
+    # ------------------------------------------------------------------
+    def _new_block(
+        self, rdd: "RDD", split: int, data: list[Any], size_bytes: float
+    ) -> Block:
+        """The block a produced partition is stored as, tagged with its tenant."""
+        tenancy = self.cluster.tenancy
+        return Block(
+            block_id=(rdd.rdd_id, split),
+            data=data,
+            size_bytes=size_bytes,
+            ser_factor=rdd.size_model.ser_factor,
+            rdd_name=rdd.name,
+            tenant=tenancy.current_tenant if tenancy is not None else None,
+        )
+
+    def _evict(
+        self,
+        bm: "BlockManager",
+        victim: BlockId,
+        state: str,
+        tm: "TaskMetrics",
+        include_ser: bool = True,
+    ) -> str:
+        """Carry a victim to ``state``; returns where it landed.
+
+        A remote demotion the pool cannot take (capacity) falls back to
+        the disk spill, so a decision is never re-planned mid-eviction.
+        ``"gone"`` discards the block from whichever tier holds it.
+        """
+        if state == "remote":
+            if bm.demote_to_remote(victim, tm) is not None:
+                return "remote"
+            state = "disk"
+        if state == "disk":
+            bm.spill_to_disk(victim, tm, include_ser)
+            return "disk"
+        bm.discard(victim, evicted=True)
+        return "gone"
+
+    def _prefetch(
+        self, executor: "Executor", block_id: BlockId, tm: "TaskMetrics"
+    ) -> Block | None:
+        """Read a disk block back into memory; the promoted block or None.
+
+        The read is charged to ``tm``; the caller checked that it fits.
+        """
+        bm = executor.bm
+        bm.read_from_disk(block_id, tm)
+        promoted = bm.promote_to_memory(block_id)
+        if promoted is not None:
+            promoted.touch(self.cluster.clock.now)
+            self.cluster.metrics.record_prefetch(executor.executor_id)
+        return promoted
+
+    def _audit_decision(
+        self,
+        executor: "Executor",
+        block: Block,
+        *,
+        outcome: str,
+        reason: str,
+        candidates: tuple[CandidateTerm, ...] = (),
+        states: list | tuple = (),
+        terms: tuple = (),
+    ) -> None:
+        """Record one admission (``outcome == "memory"``) or rejection.
+
+        ``states`` are where the chosen ``candidates`` landed, in order;
+        ``terms`` are the manager's comparison terms (``make_terms``).
+        """
+        if states:
+            candidates = tuple(
+                c._replace(chosen_state=s) for c, s in zip(candidates, states)
+            )
+        self.audit.record(
+            ts=self.cluster.clock.now,
+            kind="admit" if outcome == "memory" else "reject",
+            executor_id=executor.executor_id,
+            outcome=outcome,
+            reason=reason,
+            rdd_id=block.rdd_id,
+            split=block.split,
+            size_bytes=block.size_bytes,
+            tenant=block.tenant,
+            terms=terms,
+            candidates=tuple(candidates),
+        )

@@ -154,16 +154,6 @@ class Cluster:
         tm.remote_read_seconds += net.latency_seconds + block.size_bytes / net.bytes_per_sec
 
     # ------------------------------------------------------------------
-    def drop_rdd_blocks(self, rdd_id: int, *, evicted: bool = False) -> int:
-        """Remove every cached partition of ``rdd_id`` cluster-wide."""
-        dropped = 0
-        for executor in self.executors:
-            for block in executor.bm.cached_blocks():
-                if block.rdd_id == rdd_id:
-                    executor.bm.discard(block.block_id, evicted=evicted)
-                    dropped += 1
-        return dropped
-
     def memory_used_bytes(self) -> float:
         return sum(e.bm.memory.used_bytes for e in self.executors)
 

@@ -577,7 +577,3 @@ class Driver:
                 for block in store.blocks_for_rdd(rdd.rdd_id):
                     ex.bm.discard(block.block_id, evicted=False)
                     self.cache_manager.on_block_removed(ex, block)
-
-    @property
-    def current_job_id(self) -> int:
-        return self.job_log[-1].job_id if self.job_log else -1

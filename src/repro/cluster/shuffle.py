@@ -84,9 +84,6 @@ class ShuffleManager:
         """
         return range(min(num_partitions, self.split_limit))
 
-    def is_map_output_present(self, dep: ShuffleDependency, map_split: int) -> bool:
-        return map_split in self._outputs.get(dep.shuffle_id, {})
-
     def is_complete(self, dep: ShuffleDependency) -> bool:
         """True when every map split that runs has registered its buckets."""
         present = self._outputs.get(dep.shuffle_id)

@@ -135,9 +135,6 @@ class BlockStore:
         """Dataset ids with at least one resident block."""
         return iter(self._by_rdd.keys())
 
-    def block_ids(self) -> list[BlockId]:
-        return list(self._blocks.keys())
-
     def __len__(self) -> int:
         return len(self._blocks)
 

@@ -115,7 +115,6 @@ class RemoteMemoryConfig:
     recovery predictions stay exact for remote-resident partitions.
     """
 
-    enabled: bool = True
     capacity_bytes: float = 32.0 * GiB
     read_bytes_per_sec: float = 1.0 * GiB
     write_bytes_per_sec: float = 1.0 * GiB
@@ -146,8 +145,8 @@ class ElasticConfig:
     boundaries on the virtual clock (scale-up activates executors up to
     ``max_executors``, scale-down drains and deactivates down to
     ``min_executors``, preemption reuses the fault layer's crash wipe)
-    and the remote tier, if its own ``enabled`` is up, joins the
-    eviction ladder between memory and disk.
+    and the remote tier joins the eviction ladder between memory and
+    disk.
     """
 
     enabled: bool = False

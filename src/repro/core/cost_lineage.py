@@ -437,9 +437,6 @@ class CostLineage:
     def ser_factor_of(self, rdd_id: int) -> float:
         return self._ser_factors.get(rdd_id, 1.0)
 
-    def known_rdds(self) -> list[int]:
-        return sorted(self._parents.keys())
-
     # ------------------------------------------------------------------
     # Stream lifecycle
     # ------------------------------------------------------------------

@@ -42,6 +42,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import TYPE_CHECKING, Callable
 
+from ..service.tenancy import take_tiered
 from .cost_lineage import CostLineage
 from .cost_model import CostModel, PartitionState, StateFn
 
@@ -584,33 +585,15 @@ class VictimIndex:
         """Quota-mode :meth:`select`: ``(tier, key, seq, block_id)`` order.
 
         The fairness tier depends on the inserting tenant and on live
-        usage, so it cannot live in the stored key; one walk of the live
-        order, stable-partitioned by ``tier_of`` (``None`` = protected),
-        yields the tiered order without a sort.  Besides ``needed_bytes``
-        overall, ``own_need`` bytes of ``tenant``'s own blocks must go.
+        usage, so it cannot live in the stored key; the live order goes
+        to :func:`~repro.service.tenancy.take_tiered`, whose stable
+        partition by ``tier_of`` yields the tiered order without a sort.
         """
-        tiers: tuple[list["Block"], ...] = ([], [], [])
-        scanned = 0
-        for entry in self._entries:
-            block_id = entry[2]
-            if self._map.get(block_id) != entry:
-                continue  # tombstone or re-keyed
-            block = self._blocks[block_id]
-            if block.rdd_id == incoming_rdd_id:
-                continue
-            scanned += 1
-            tier = tier_of(block)
-            if tier is not None:
-                tiers[tier].append(block)
-        victims: list["Block"] = []
-        freed = own_freed = 0.0
-        for block in tiers[0] + tiers[1] + tiers[2]:
-            if freed >= needed_bytes and own_freed >= own_need:
-                break
-            victims.append(block)
-            freed += block.size_bytes
-            if block.tenant == tenant:
-                own_freed += block.size_bytes
-        if freed < needed_bytes or own_freed < own_need:
-            return None, scanned
-        return victims, scanned
+        live = (
+            self._blocks[entry[2]]
+            for entry in self._entries
+            if self._map.get(entry[2]) == entry  # skip tombstones, re-keys
+        )
+        return take_tiered(
+            live, needed_bytes, incoming_rdd_id, tier_of, tenant, own_need
+        )

@@ -49,10 +49,6 @@ class IlpItem:
         """The cheaper non-memory state."""
         return "disk" if self.cost_d < self.cost_r else "gone"
 
-    @property
-    def off_memory_cost(self) -> float:
-        return min(self.cost_d, self.cost_r) * self.weight
-
 
 @dataclass
 class IlpSolution:

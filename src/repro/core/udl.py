@@ -86,11 +86,7 @@ class BlazeCacheManager(CacheManager):
     def attach(self, cluster: "Cluster") -> None:
         super().attach(cluster)
         elastic = self.config.elastic
-        remote = (
-            elastic.remote_memory
-            if elastic.enabled and elastic.remote_memory.enabled
-            else None
-        )
+        remote = elastic.remote_memory if elastic.enabled else None
         self.cost_model = CostModel(self.lineage, cluster.config.disk, remote)
         if self.profile is not None:
             self.profile.seed(self.lineage)
@@ -428,15 +424,7 @@ class BlazeCacheManager(CacheManager):
             # Under incomplete knowledge the user's ``.cache()`` is one
             # promised reference, priced like a known one.
             remaining_refs = 1
-        tenancy = self.cluster.tenancy
-        block = Block(
-            block_id=(rdd.rdd_id, split),
-            data=data,
-            size_bytes=size_bytes,
-            ser_factor=rdd.size_model.ser_factor,
-            rdd_name=rdd.name,
-            tenant=tenancy.current_tenant if tenancy is not None else None,
-        )
+        block = self._new_block(rdd, split, data, size_bytes)
         self._admit(executor, block, remaining_refs, tm, from_disk=False)
 
     def on_disk_hit(self, executor: "Executor", block: Block, tm: TaskMetrics) -> None:
@@ -496,27 +484,15 @@ class BlazeCacheManager(CacheManager):
         incoming_value: float | None = None,
         displaced_value: float | None = None,
     ) -> None:
-        if states:
-            candidates = tuple(
-                c._replace(chosen_state=s) for c, s in zip(candidates, states)
-            )
-        self.audit.record(
-            ts=self.cluster.clock.now,
-            kind="admit" if outcome == "memory" else "reject",
-            executor_id=executor.executor_id,
-            outcome=outcome,
-            reason=reason,
-            rdd_id=block.rdd_id,
-            split=block.split,
-            size_bytes=block.size_bytes,
-            tenant=block.tenant,
+        self._audit_decision(
+            executor, block, outcome=outcome, reason=reason,
+            candidates=candidates, states=states,
             terms=make_terms(
                 refs=float(refs),
                 from_disk=float(from_disk),
                 incoming_value=incoming_value,
                 displaced_value=displaced_value,
             ),
-            candidates=tuple(candidates),
         )
 
     def _ilp_observer(self, executor_id: int, job_id: int, round_idx: int):
@@ -599,7 +575,10 @@ class BlazeCacheManager(CacheManager):
         index.ensure_current(self.lineage.version, cache.touch_count)
         tier_of = None
         if quota_mode:
-            tier_of, tenant, own_need = self._quota_tiering(block)
+            tenant = tenancy.current_tenant
+            tier_of, own_need = tenancy.victim_tiers(
+                self.cluster, tenant, block.size_bytes
+            )
             victims, scanned = index.select_tiered(
                 max(needed, 0.0), block.rdd_id, tier_of, tenant, own_need
             )
@@ -639,7 +618,7 @@ class BlazeCacheManager(CacheManager):
         pre = self._audit_candidates(victims, tier_of) if audit is not None else ()
         plans = [self._eviction_plan(victim) for victim in victims]
         states = [
-            self._execute_eviction(bm, victim, plan, tm)
+            self._evict(bm, victim.block_id, plan, tm)
             for victim, plan in zip(victims, plans)
         ]
         self._place_in_memory(bm, block, from_disk, now)
@@ -669,42 +648,6 @@ class BlazeCacheManager(CacheManager):
                 candidates=self._audit_candidates(victims, tier_of), **values,
             )
 
-    def _quota_tiering(self, block: Block):
-        """Fairness terms of one admission under tenant quotas.
-
-        Returns ``(tier_of, tenant, own_need)``.  Victims go over-quota
-        tenants' blocks first (tier 0), then the inserting tenant's own
-        and ownerless blocks (1), then — only if the inserter stays within
-        its quota — other within-quota tenants' blocks (2; ``None`` means
-        protected).  ``own_need`` bytes of the inserter's own blocks must
-        be displaced to keep it within quota after the insert.  All of it
-        depends on the inserter and on live usage, hence per admission.
-        """
-        tenancy = self.cluster.tenancy
-        tenant = tenancy.current_tenant
-        quota = tenancy.quota_of(tenant)
-        own_need = 0.0
-        over_after = False
-        if quota is not None:
-            usage = tenancy.memory_used_by(self.cluster, tenant)
-            over_after = usage + block.size_bytes > quota
-            own_need = max(0.0, usage + block.size_bytes - quota)
-        over_quota: dict[str, bool] = {}
-
-        def tier_of(b: Block) -> int | None:
-            if b.tenant == tenant or b.tenant is None:
-                return 1
-            over = over_quota.get(b.tenant)
-            if over is None:
-                over = over_quota[b.tenant] = tenancy.is_over_quota(
-                    self.cluster, b.tenant
-                )
-            if over:
-                return 0
-            return None if over_after else 2
-
-        return tier_of, tenant, own_need
-
     def _eviction_plan(self, victim: Block) -> PartitionState:
         """The state a memory victim is cheapest in (§4.2)."""
         if not self.config.disk_enabled:
@@ -731,25 +674,6 @@ class BlazeCacheManager(CacheManager):
         else:
             bm.insert_memory(block)
             block.touch(now)
-
-    def _execute_eviction(
-        self, bm, victim: Block, state: PartitionState, tm: TaskMetrics
-    ) -> str:
-        """Carry out a planned eviction; returns where the victim landed.
-
-        A remote demotion the pool cannot take (capacity) falls back to
-        the classic disk spill, so the decision layer never re-plans
-        mid-admission.
-        """
-        if state == "remote":
-            if bm.demote_to_remote(victim.block_id, tm) is not None:
-                return "remote"
-            state = "disk"
-        if state == "disk":
-            bm.spill_to_disk(victim.block_id, tm)
-            return "disk"
-        bm.discard(victim.block_id, evicted=True)
-        return "gone"
 
     def _maybe_write_to_disk(self, executor: "Executor", block: Block, tm: TaskMetrics) -> bool:
         """A partition denied memory may still be worth persisting on disk.
@@ -870,29 +794,21 @@ class BlazeCacheManager(CacheManager):
         # Demotions free memory first.
         for block_id, state in sorted(planned.items()):
             loc = bm.location_of(block_id)
-            if loc is BlockLocation.MEMORY and state == "disk":
-                bm.spill_to_disk(block_id, tm)
-                moved += 1
-            elif loc is BlockLocation.MEMORY and state == "gone":
-                bm.discard(block_id, evicted=True)
-                moved += 1
-            elif loc is BlockLocation.DISK and state == "gone":
-                bm.discard(block_id, evicted=True)
+            if (loc is BlockLocation.MEMORY and state != "mem") or (
+                loc is BlockLocation.DISK and state == "gone"
+            ):
+                self._evict(bm, block_id, state, tm)
                 moved += 1
         # Promotions fill the freed space (prefetch from disk).
-        now = self.cluster.clock.now
         for block_id, state in sorted(planned.items()):
             if state != "mem" or bm.location_of(block_id) is not BlockLocation.DISK:
                 continue
             block = bm.disk.get(block_id)
             if block is None or not bm.memory.fits(block.size_bytes):
                 continue
-            bm.read_from_disk(block_id, tm)
-            promoted = bm.promote_to_memory(block_id)
-            if promoted is not None:
-                promoted.touch(now)
-                self.cluster.metrics.record_prefetch(executor.executor_id)
+            if self._prefetch(executor, block_id, tm) is not None:
                 moved += 1
+        now = self.cluster.clock.now
         if tm.total_seconds > 0:
             executor.charge_background(now, tm.total_seconds)
             self.cluster.metrics.record_task(job_id, executor.executor_id, tm)

@@ -10,10 +10,10 @@ never perturbs workload (or fault) randomness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..sim.rng import make_rng
+from ..sim.schedule import Schedule
 
 #: the three fleet-change event classes
 SCALE_KINDS = ("scale_up", "scale_down", "preemption")
@@ -65,37 +65,11 @@ class ScaleSpec:
             raise ConfigError("scale event executor_id must be >= 0")
 
 
-@dataclass(frozen=True)
-class ScaleSchedule:
-    """An ordered plan of fleet changes for one application run."""
+class ScaleSchedule(Schedule):
+    """An ordered plan of :class:`ScaleSpec` fleet changes for one run."""
 
-    specs: tuple[ScaleSpec, ...] = field(default_factory=tuple)
+    _STREAM = _SCHEDULE_STREAM
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def in_order(self) -> list[ScaleSpec]:
-        """Specs sorted by fire time (stable, so declaration order ties)."""
-        return sorted(self.specs, key=lambda spec: spec.at)
-
-    def clamped_to(self, num_executors: int) -> "ScaleSchedule":
-        """Normalize executor ids into the initial fleet's range."""
-        return ScaleSchedule(
-            tuple(
-                replace(spec, executor_id=spec.executor_id % num_executors)
-                if spec.executor_id is not None
-                else spec
-                for spec in self.specs
-            )
-        )
-
-    # ------------------------------------------------------------------
     @classmethod
     def seeded(
         cls,
@@ -109,23 +83,14 @@ class ScaleSchedule:
         """Draw a deterministic schedule of ``num_events`` over the horizon.
 
         The same ``(seed, horizon, executors, n, kinds)`` always yields
-        the same schedule; fire times are uniform over ``[0, horizon)``
-        and per-kind parameters are drawn from the same stream in a
-        fixed order, so adding a kind never reshuffles earlier draws.
+        the same schedule (see :meth:`Schedule._seeded_draws`).
         """
-        if horizon_seconds <= 0:
-            raise ConfigError("horizon_seconds must be > 0")
-        if num_executors <= 0:
-            raise ConfigError("num_executors must be > 0")
-        if num_events < 0:
-            raise ConfigError("num_events must be >= 0")
-        rng = make_rng(seed, _SCHEDULE_STREAM)
-        times = sorted(float(t) for t in rng.uniform(0.0, horizon_seconds, size=num_events))
+        rng, draws = cls._seeded_draws(
+            seed, horizon_seconds=horizon_seconds, num_executors=num_executors,
+            count=num_events, count_name="num_events", kinds=kinds,
+        )
         specs: list[ScaleSpec] = []
-        for at in times:
-            kind = kinds[int(rng.integers(len(kinds)))]
-            executor_id = int(rng.integers(num_executors))
-            pick = int(rng.integers(1 << 30))
+        for at, kind, executor_id, pick in draws:
             count = 1 + int(rng.integers(2))
             if kind == "scale_up":
                 specs.append(ScaleSpec(at, kind, count=count, pick=pick))

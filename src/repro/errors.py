@@ -19,10 +19,6 @@ class DataflowError(ReproError):
     """Raised for invalid dataflow graph construction or execution."""
 
 
-class PartitionNotFoundError(DataflowError):
-    """Raised when a partition cannot be resolved from any source."""
-
-
 class ShuffleError(DataflowError):
     """Raised when shuffle data is missing or inconsistent."""
 
@@ -33,10 +29,6 @@ class SchedulerError(ReproError):
 
 class StorageError(ReproError):
     """Raised for invalid block store operations."""
-
-
-class CapacityError(StorageError):
-    """Raised when a block cannot fit in a store even after eviction."""
 
 
 class PolicyError(ReproError):

@@ -5,14 +5,15 @@ frozen data so schedules can be declared inline in tests, serialized into
 bench manifests, or generated from a seed (:meth:`FaultSchedule.seeded`)
 through the same ``SeedSequence`` spawn-key discipline the rest of the
 simulator uses — fault randomness never perturbs workload randomness.
+The container itself is the shared :class:`~repro.sim.schedule.Schedule`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from ..errors import ConfigError
-from ..sim.rng import make_rng
+from ..sim.schedule import Schedule
 
 #: the four injectable failure classes
 FAULT_KINDS = ("executor_crash", "block_loss", "straggler", "fetch_failure")
@@ -67,37 +68,11 @@ class FaultSpec:
             raise ConfigError("block_loss needs both rdd_id and split, or neither")
 
 
-@dataclass(frozen=True)
-class FaultSchedule:
-    """An ordered plan of faults for one application run."""
+class FaultSchedule(Schedule):
+    """An ordered plan of :class:`FaultSpec` faults for one application run."""
 
-    specs: tuple[FaultSpec, ...] = field(default_factory=tuple)
+    _STREAM = _SCHEDULE_STREAM
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "specs", tuple(self.specs))
-
-    def __len__(self) -> int:
-        return len(self.specs)
-
-    def __bool__(self) -> bool:
-        return bool(self.specs)
-
-    def in_order(self) -> list[FaultSpec]:
-        """Specs sorted by fire time (stable, so declaration order ties)."""
-        return sorted(self.specs, key=lambda spec: spec.at)
-
-    def clamped_to(self, num_executors: int) -> "FaultSchedule":
-        """Normalize executor ids into the cluster's range."""
-        return FaultSchedule(
-            tuple(
-                replace(spec, executor_id=spec.executor_id % num_executors)
-                if spec.executor_id is not None
-                else spec
-                for spec in self.specs
-            )
-        )
-
-    # ------------------------------------------------------------------
     @classmethod
     def seeded(
         cls,
@@ -111,23 +86,14 @@ class FaultSchedule:
         """Draw a deterministic schedule of ``num_faults`` over the horizon.
 
         The same ``(seed, horizon, executors, n, kinds)`` always yields the
-        same schedule; fire times are uniform over ``[0, horizon)`` and
-        per-kind parameters are drawn from the same stream in a fixed
-        order, so adding a kind never reshuffles earlier draws.
+        same schedule (see :meth:`Schedule._seeded_draws`).
         """
-        if horizon_seconds <= 0:
-            raise ConfigError("horizon_seconds must be > 0")
-        if num_executors <= 0:
-            raise ConfigError("num_executors must be > 0")
-        if num_faults < 0:
-            raise ConfigError("num_faults must be >= 0")
-        rng = make_rng(seed, _SCHEDULE_STREAM)
-        times = sorted(float(t) for t in rng.uniform(0.0, horizon_seconds, size=num_faults))
+        rng, draws = cls._seeded_draws(
+            seed, horizon_seconds=horizon_seconds, num_executors=num_executors,
+            count=num_faults, count_name="num_faults", kinds=kinds,
+        )
         specs: list[FaultSpec] = []
-        for at in times:
-            kind = kinds[int(rng.integers(len(kinds)))]
-            executor_id = int(rng.integers(num_executors))
-            pick = int(rng.integers(1 << 30))
+        for at, kind, executor_id, pick in draws:
             if kind == "executor_crash":
                 specs.append(FaultSpec(at, kind, executor_id=executor_id))
             elif kind == "block_loss":

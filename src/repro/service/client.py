@@ -64,9 +64,6 @@ class JobClient:
         self._order.append(gid)
         return gid
 
-    def rdd_by_id(self, rdd_id: int) -> RDD:
-        return self._rdds[rdd_id]
-
     def all_rdds(self) -> list[RDD]:
         """Every dataset this application registered, in registration order."""
         return [self._rdds[g] for g in self._order]

@@ -151,8 +151,7 @@ class JobService:
         self.fleet_controller = None
         elastic = blaze_config.elastic if blaze_config is not None else None
         if elastic is not None and elastic.enabled:
-            if elastic.remote_memory.enabled:
-                self.cluster.enable_remote_tier(elastic.remote_memory)
+            self.cluster.enable_remote_tier(elastic.remote_memory)
             if scale_schedule is not None and len(scale_schedule):
                 from ..elastic.controller import FleetController
 

@@ -8,10 +8,23 @@ import pytest
 
 from repro.caching.manager import SparkCacheManager
 from repro.caching.storage_level import StorageMode
-from repro.config import ClusterConfig, DiskConfig, GiB, MiB
+from repro.config import (
+    BlazeConfig,
+    ClusterConfig,
+    DiskConfig,
+    GiB,
+    MiB,
+    ObsConfig,
+    ServiceConfig,
+)
+from repro.core.profiler import run_dependency_extraction
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.fusion import FusionPlanner
+from repro.service import JobService
 from repro.storage.backend import ColumnarBackend
+from repro.systems.presets import make_system
+from repro.workloads.base import replace_params
+from repro.workloads.registry import make_workload
 
 
 def make_cluster_config(
@@ -87,6 +100,43 @@ def list_plane():
         )
 
     return patch
+
+
+def quota_service(system: str, tracer, seed: int = 3) -> JobService:
+    """Three tenants' PageRanks submitted to one quota-capped fleet.
+
+    Memory and quotas are sized so that executors hold several tenants'
+    blocks at once and every fairness tier gets evicted from; ``run()``
+    the returned service (obs on) to play the applications out.
+    """
+    wl = replace_params(make_workload("pr", "tiny"), num_partitions=24)
+    bcfg = BlazeConfig(obs=ObsConfig(enabled=True))
+    profile = run_dependency_extraction(
+        wl.profiling_run_fn(bcfg.profiling_sample_fraction), bcfg,
+        seed=seed, tracer=tracer,
+    )
+    service = JobService(
+        ClusterConfig(
+            num_executors=2, slots_per_executor=2,
+            # Blaze counts references over all three applications' streams,
+            # so it holds (and spills) more of each; 32 MiB is where tier 2
+            # still gets evicted from (48 MiB did, while each was scored alone)
+            memory_store_bytes=32 * MiB,
+            disk=DiskConfig(capacity_bytes=5 * GiB),
+        ),
+        make_system(system).build(profile=profile, blaze_config=bcfg),
+        seed=seed, tracer=tracer, blaze_config=bcfg,
+        service_config=ServiceConfig(
+            tenant_quotas={"a": 40 * MiB, "b": 10 * MiB, "c": 80 * MiB},
+            dedup_enabled=False, inter_job_policy="fair",
+        ),
+    )
+    for i, tenant in enumerate("abc"):
+        service.submit(
+            lambda client: wl.run(client).final_value,
+            tenant=tenant, arrival_time=0.01 * i, seed=seed + i,
+        )
+    return service
 
 
 def reference_select(

@@ -21,7 +21,7 @@ from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import pytest
-from conftest import reference_select
+from conftest import quota_service, reference_select
 
 from repro.config import (
     BlazeConfig,
@@ -31,16 +31,13 @@ from repro.config import (
     GiB,
     MiB,
     ObsConfig,
-    ServiceConfig,
 )
 from repro.core.decision_cache import DecisionCostCache, VictimIndex
-from repro.core.profiler import run_dependency_extraction
 from repro.core.udl import BlazeCacheManager
 from repro.elastic import ScaleSchedule, ScaleSpec
 from repro.experiments.runner import run_experiment
 from repro.faults import FaultSchedule, FaultSpec
-from repro.service import JobService
-from repro.systems.presets import SYSTEMS, make_system
+from repro.systems.presets import SYSTEMS
 from repro.tracing import InMemoryTracer, to_jsonl
 from repro.workloads.base import replace_params
 from repro.workloads.registry import make_workload
@@ -208,41 +205,13 @@ def test_decisions_match_fresh_derivation(system):
 
 
 def _quota_service_run() -> tuple[str, Counter]:
-    """Three tenants' PageRanks interleaved on one quota-capped fleet.
+    """Blaze on the 3-tenant quota service (``conftest.quota_service``).
 
     Returns the trace and how many audited victims fell in each fairness
-    tier; memory and quotas are sized so that executors hold several
-    tenants' blocks at once and all three tiers get evicted from.
+    tier.
     """
-    wl = replace_params(make_workload("pr", "tiny"), num_partitions=24)
-    bcfg = BlazeConfig(obs=ObsConfig(enabled=True))
     tracer = InMemoryTracer()
-    profile = run_dependency_extraction(
-        wl.profiling_run_fn(bcfg.profiling_sample_fraction), bcfg,
-        seed=SEED, tracer=tracer,
-    )
-    service = JobService(
-        ClusterConfig(
-            num_executors=2, slots_per_executor=2,
-            # Blaze counts references over all three applications' streams,
-            # so it holds (and spills) more of each; 32 MiB is where tier 2
-            # still gets evicted from (48 MiB did, while each was scored alone)
-            memory_store_bytes=32 * MiB,
-            disk=DiskConfig(capacity_bytes=5 * GiB),
-        ),
-        make_system("blaze").build(profile=profile, blaze_config=bcfg),
-        seed=SEED, tracer=tracer, blaze_config=bcfg,
-        service_config=ServiceConfig(
-            tenant_quotas={"a": 40 * MiB, "b": 10 * MiB, "c": 80 * MiB},
-            dedup_enabled=False, inter_job_policy="fair",
-        ),
-    )
-    with service:
-        for i, tenant in enumerate("abc"):
-            service.submit(
-                lambda client: wl.run(client).final_value,
-                tenant=tenant, arrival_time=0.01 * i, seed=SEED + i,
-            )
+    with quota_service("blaze", tracer, seed=SEED) as service:
         handles = service.run()
         for handle in handles:
             handle.result()

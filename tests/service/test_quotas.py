@@ -7,6 +7,12 @@ disk), never another within-quota tenant's protected blocks.
 
 from __future__ import annotations
 
+from collections import Counter
+from unittest import mock
+
+import pytest
+from conftest import quota_service, reference_select
+
 from repro.caching.manager import SparkCacheManager
 from repro.caching.storage_level import StorageMode
 from repro.cluster.blocks import Block
@@ -15,7 +21,9 @@ from repro.core.udl import BlazeCacheManager
 from repro.dataflow.operators import OpCost, SizeModel
 from repro.metrics.collector import TaskMetrics
 from repro.service import JobService
+from repro.service.tenancy import take_tiered
 from repro.systems import make_system
+from repro.tracing import InMemoryTracer
 
 
 def _cluster(memory_mb: int = 64) -> ClusterConfig:
@@ -139,6 +147,50 @@ def test_empty_quota_map_is_fully_inert():
         assert not tenancy.quotas_active
         used = tenancy.memory_used_by(service.cluster, "b")
         assert used > 32 * MiB, "no quota caps apply"
+
+
+# The baseline's tiered selection, checked online on the 3-tenant quota
+# service (``conftest.quota_service``): every selection must equal the
+# reference filter + full sort by ``(tier, last_access, block_id)`` over
+# the inserting executor's memory store, and victims must come from all
+# three fairness tiers.
+@pytest.mark.parametrize("system", ["spark_mem_disk", "spark_lrc"])
+def test_spark_quota_selections_match_reference(system):
+    checks: Counter = Counter()
+    tiers: set = set()
+    inserting: list = []  # block manager of the running handle_cache
+    handle_cache = SparkCacheManager.handle_cache
+
+    def tracked_handle_cache(self, executor, *args, **kwargs):
+        inserting.append(executor.bm)
+        try:
+            return handle_cache(self, executor, *args, **kwargs)
+        finally:
+            inserting.pop()
+
+    def checked_take_tiered(blocks, needed, incoming_rdd_id, tier_of, tenant, own_need):
+        victims, scanned = take_tiered(
+            blocks, needed, incoming_rdd_id, tier_of, tenant, own_need
+        )
+        want = reference_select(
+            inserting[-1].memory.blocks(), lambda b: (b.last_access, b.block_id),
+            needed, incoming_rdd_id, tier_of, tenant, own_need,
+        )
+        ids = None if victims is None else [v.block_id for v in victims]
+        assert ids == (None if want is None else [v.block_id for v in want])
+        checks["selections"] += 1
+        tiers.update(tier_of(v) for v in victims or ())
+        return victims, scanned
+
+    with (
+        mock.patch.object(SparkCacheManager, "handle_cache", tracked_handle_cache),
+        mock.patch("repro.caching.manager.take_tiered", checked_take_tiered),
+        quota_service(system, InMemoryTracer()) as service,
+    ):
+        for handle in service.run():
+            handle.result()
+    assert checks["selections"] > 0
+    assert tiers == {0, 1, 2}, "every fairness tier must be evicted from"
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,11 @@ from repro.config import (
     BlazeConfig,
     ClusterConfig,
     DiskConfig,
+    ElasticConfig,
     NetworkConfig,
     ObsConfig,
+    RemoteMemoryConfig,
+    ServiceConfig,
     paper_cluster,
     small_cluster,
 )
@@ -98,3 +101,33 @@ def test_config_surface_is_pinned():
     ]
     assert names(ObsConfig) == ["enabled", "sample_interval_seconds", "max_samples"]
     assert names(SizeModel) == ["bytes_per_element", "fixed_bytes", "ser_factor"]
+    assert names(DiskConfig) == [
+        "read_bytes_per_sec",
+        "write_bytes_per_sec",
+        "ser_seconds_per_byte",
+        "deser_seconds_per_byte",
+        "capacity_bytes",
+    ]
+    assert names(NetworkConfig) == ["bytes_per_sec", "latency_seconds"]
+    assert names(RemoteMemoryConfig) == [
+        "capacity_bytes",
+        "read_bytes_per_sec",
+        "write_bytes_per_sec",
+        "ser_seconds_per_byte",
+        "deser_seconds_per_byte",
+        "latency_seconds",
+    ]
+    assert names(ElasticConfig) == [
+        "enabled", "min_executors", "max_executors", "remote_memory",
+    ]
+    assert names(ServiceConfig) == [
+        "arrival_process",
+        "arrival_seed",
+        "arrival_rate_per_sec",
+        "diurnal_period_seconds",
+        "diurnal_trough_ratio",
+        "inter_job_policy",
+        "tenant_quotas",
+        "dedup_enabled",
+        "trace_service_events",
+    ]
