@@ -139,17 +139,24 @@ class SparkCacheManager(CacheManager):
 
         needed = size_bytes - bm.memory.free_bytes
         if tenancy is not None and tenancy.quotas_active:
-            # Quota mode replaces the pluggable policy's selection with
-            # the fairness tiers (see docs/service.md), LRU within a tier.
+            # Quota mode leads the pluggable policy's order with the
+            # fairness tiers (see docs/service.md): within a tier, victims
+            # go in the order ``EvictionPolicy.select_victims`` sorts by.
             # Never reached on legacy single-tenant runs.
             tier_of, own_need = tenancy.victim_tiers(
                 self.cluster, block.tenant, size_bytes
             )
             victims, _scanned = take_tiered(
-                sorted(bm.memory.blocks(), key=lambda b: (b.last_access, b.block_id)),
+                sorted(
+                    bm.memory.blocks(),
+                    key=lambda b: (
+                        policy.victim_priority(b, now), b.policy_data.get("seq", 0)
+                    ),
+                ),
                 needed, rdd.rdd_id, tier_of, block.tenant, own_need,
             )
         else:
+            tier_of = None
             victims = policy.select_victims(bm.memory, needed, rdd.rdd_id, now)
         if victims is None or not policy.admit(size_bytes, rdd.rdd_id, victims):
             # Cannot (or should not) displace residents: fall back to disk
@@ -169,11 +176,11 @@ class SparkCacheManager(CacheManager):
                     executor, block,
                     outcome="disk" if self.storage_mode.spills_to_disk else "drop",
                     reason=reason,
-                    candidates=self._audit_candidates(victims or ()),
+                    candidates=self._audit_candidates(victims or (), tier_of),
                 )
             return
 
-        pre = self._audit_candidates(victims) if self.audit is not None else ()
+        pre = self._audit_candidates(victims, tier_of) if self.audit is not None else ()
         victim_state = "disk" if self.storage_mode.spills_to_disk else "gone"
         states = []
         for victim in victims:
@@ -196,12 +203,13 @@ class SparkCacheManager(CacheManager):
             )
 
     # ------------------------------------------------------------------
-    def _audit_candidates(self, victims) -> tuple[CandidateTerm, ...]:
-        # The baseline manager has no cost model: candidates carry the
-        # recency key its policies actually order by.
+    def _audit_candidates(self, victims, tier_of=None) -> tuple[CandidateTerm, ...]:
+        # The baseline manager has no cost model: candidates carry their
+        # recency and, under quotas, the fairness tier they were taken from.
         return tuple(
             CandidateTerm(
                 rdd_id=v.rdd_id, split=v.split, size_bytes=v.size_bytes,
+                tier=None if tier_of is None else tier_of(v),
                 last_access=v.last_access,
             )
             for v in victims

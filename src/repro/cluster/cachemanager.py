@@ -199,8 +199,7 @@ class CacheManager(ABC):
 
         Fired by the fault layer after ``BlockManager.purge_lost``.  The
         default treats loss like a removal so per-block policy state is
-        freed; managers with residency listeners already saw the removal
-        and may only need memo hygiene.
+        freed; managers with residency listeners already saw the removal.
         """
         self.on_block_removed(executor, block)
 

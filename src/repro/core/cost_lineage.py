@@ -354,18 +354,15 @@ class CostLineage:
         self.induction_enabled = induction_enabled
         # ---- structure
         self._parents: dict[int, tuple[int, ...]] = {}
-        self._children: dict[int, set[int]] = {}
         self._num_splits: dict[int, int] = {}
         self._names: dict[int, str] = {}
         self._ser_factors: dict[int, float] = {}
         # ---- decision epochs: ``version`` advances whenever anything a
         # reference or cost query depends on changes (a stream's position
         # or events, a stream opening/closing/becoming current, structure,
-        # cycle detection); ``structure_version`` advances only on topology
-        # changes (parent edges added/replaced).  Consumers stamp memoized
-        # results with these and re-derive lazily.
+        # cycle detection).  Consumers stamp memoized results with it and
+        # re-derive lazily.
         self.version = 0
-        self.structure_version = 0
         self._refs_memo: dict[tuple[int, bool], int] = {}
         self._refs_memo_version = -1
         # ---- reference streams: open ones by key (opening order), the one
@@ -399,23 +396,13 @@ class CostLineage:
     ) -> None:
         """Add or refresh one dataset's structural facts."""
         parents = tuple(parent_ids)
-        old = self._parents.get(rdd_id)
-        if old != parents:
-            if old:
-                for p in old:
-                    self._children.get(p, set()).discard(rdd_id)
-            for p in parents:
-                self._children.setdefault(p, set()).add(rdd_id)
-            self._parents[rdd_id] = parents
-            self.structure_version += 1
+        if (
+            self._parents.get(rdd_id) != parents
+            or self._num_splits.get(rdd_id) != num_splits
+            or self._ser_factors.get(rdd_id) != ser_factor
+        ):
             self.version += 1
-        elif self._num_splits.get(rdd_id) != num_splits:
-            # the split->parent-split mapping changed shape: anything
-            # memoized per partition (affected sets included) is off
-            self.structure_version += 1
-            self.version += 1
-        elif self._ser_factors.get(rdd_id) != ser_factor:
-            self.version += 1
+        self._parents[rdd_id] = parents
         self._num_splits[rdd_id] = num_splits
         self._ser_factors[rdd_id] = ser_factor
         if name:
@@ -423,10 +410,6 @@ class CostLineage:
 
     def parents_of(self, rdd_id: int) -> tuple[int, ...]:
         return self._parents.get(rdd_id, ())
-
-    def children_of(self, rdd_id: int) -> set[int]:
-        """Direct downstream datasets (inverse of :meth:`parents_of`)."""
-        return self._children.get(rdd_id, set())
 
     def num_splits_of(self, rdd_id: int) -> int:
         return self._num_splits.get(rdd_id, 0)
@@ -659,50 +642,28 @@ class CostLineage:
     # Metric queries (observed -> prior -> regression -> default)
     # ------------------------------------------------------------------
     def estimate_size(self, rdd_id: int, split: int, default: float = 1.0) -> float:
-        return self.estimate_size_ex(rdd_id, split, default)[0]
-
-    def estimate_size_ex(
-        self, rdd_id: int, split: int, default: float = 1.0
-    ) -> tuple[float, bool]:
-        """Size estimate plus a *stability* bit.
-
-        The value is stable (``True``) when it comes from a direct
-        observation (live metrics or profile prior) and therefore cannot
-        drift as observations of *other* partitions stream in.  Unstable
-        values fall through to regression/mean estimators whose output
-        changes with every new sample; epoch caches must not persist
-        results derived from them across observations.
-        """
-        if self.metrics.is_observed(rdd_id, split):
-            size = self.metrics.size_of(rdd_id, split)
-            if size > 0:
-                return size, True
-        if self.prior.is_observed(rdd_id, split):
-            size = self.prior.size_of(rdd_id, split)
-            if size > 0:
-                return size, True
+        """Observed size, else the profile's, else a regression/mean estimate."""
+        for store in (self.metrics, self.prior):
+            if store.is_observed(rdd_id, split):
+                size = store.size_of(rdd_id, split)
+                if size > 0:
+                    return size
         size = self.metrics.size_of(rdd_id, split, default=0.0)
         if size > 0:
-            return size, False
+            return size
         size = self.prior.size_of(rdd_id, split, default=0.0)
-        return (size, False) if size > 0 else (default, False)
+        return size if size > 0 else default
 
     def estimate_compute_seconds(self, rdd_id: int, split: int, default: float = 1e-4) -> float:
-        return self.estimate_compute_seconds_ex(rdd_id, split, default)[0]
-
-    def estimate_compute_seconds_ex(
-        self, rdd_id: int, split: int, default: float = 1e-4
-    ) -> tuple[float, bool]:
-        """Compute-time estimate plus the same stability bit as sizes."""
-        if self.metrics.is_observed(rdd_id, split):
-            return max(self.metrics.compute_seconds_of(rdd_id, split), 0.0), True
-        if self.prior.is_observed(rdd_id, split):
-            return max(self.prior.compute_seconds_of(rdd_id, split), 0.0), True
+        """Compute time, with the same fallback chain as sizes."""
+        for store in (self.metrics, self.prior):
+            if store.is_observed(rdd_id, split):
+                return max(store.compute_seconds_of(rdd_id, split), 0.0)
         value = self.metrics.compute_seconds_of(rdd_id, split, default=-1.0)
         if value >= 0:
-            return value, False
+            return value
         value = self.prior.compute_seconds_of(rdd_id, split, default=-1.0)
-        return (value, False) if value >= 0 else (default, False)
+        return value if value >= 0 else default
 
     def observe_partition(
         self,

@@ -66,7 +66,7 @@ class BlazeCacheManager(CacheManager):
         self.cost_model: CostModel | None = None
         #: dataset ids produced so far (first-touch-aware closure pruning)
         self._materialized_ids: set[int] = set()
-        #: epoch-cached costs + per-executor victim order (bound in attach)
+        #: the epoch cost memo + per-executor victim order (bound in attach)
         self._cache: DecisionCostCache | None = None
         self._indexes: dict[int, VictimIndex] = {}
         self.name = self._variant_name()
@@ -90,22 +90,9 @@ class BlazeCacheManager(CacheManager):
         self.cost_model = CostModel(self.lineage, cluster.config.disk, remote)
         if self.profile is not None:
             self.profile.seed(self.lineage)
-        cfg = self.config
-        # Cached cost values are only read when admission compares values
-        # or evictions weigh spill against recompute.
-        consulted = cfg.admission_enabled or (
-            cfg.disk_enabled and cfg.recompute_option_enabled
-        )
         self._cache = DecisionCostCache(
-            self.lineage, self.cost_model, self._future_state_of,
-            cluster.metrics, consulted=consulted,
+            self.lineage, self.cost_model, self._future_state_of, cluster.metrics
         )
-        if cfg.cost_aware_enabled and cfg.admission_enabled:
-            self._index_sensitivity = "version"  # density key reads future refs
-        elif cfg.cost_aware_enabled:
-            self._index_sensitivity = "touch"  # cost_d keys off observations only
-        else:
-            self._index_sensitivity = "marks"  # LRU keys move on hits alone
         for executor in cluster.executors:
             self.on_executor_added(executor)
 
@@ -118,56 +105,32 @@ class BlazeCacheManager(CacheManager):
         super().detach()
 
     # ------------------------------------------------------------------
-    # Residency listener (BlockManager callbacks) + index key functions
+    # Residency listener (BlockManager callbacks) + the victim order
     # ------------------------------------------------------------------
     def _index_key_fn(self):
-        """The victim ordering for this variant, as ``block -> (key, stable)``.
+        """The victim ordering for this variant, as ``block -> key``.
 
         Full Blaze orders by weighted potential cost per byte, +CostAware by
-        potential disk access cost (§7.3), +AutoCache by recency (LRU).  The
-        stability bit says whether the key may drift as other partitions
-        are observed (regression-derived estimates).
+        potential disk access cost (§7.3), +AutoCache by recency (LRU).
         """
-        if self.config.cost_aware_enabled:
-            if self.config.admission_enabled:
-                def key_fn(b: Block) -> tuple[float, bool]:
-                    if b.size_bytes <= 0:
-                        return float("inf"), True  # frees nothing: last victim
-                    value, stable = self._cache.block_value_ex(b)
-                    return value / b.size_bytes, stable
-            else:
-                def key_fn(b: Block) -> tuple[float, bool]:
-                    stable = (
-                        self.lineage.estimate_size_ex(b.rdd_id, b.split)[1]
-                    )
-                    cost = self.cost_model.cost_d(
-                        b.rdd_id, b.split, self._cache.scratch()
-                    )
-                    return cost, stable
-        else:
-            def key_fn(b: Block) -> tuple[float, bool]:
-                return b.last_access, True
-        return key_fn
+        cache = self._cache
+        if not self.config.cost_aware_enabled:
+            return lambda b: b.last_access
+        if not self.config.admission_enabled:
+            return lambda b: self.cost_model.cost_d(b.rdd_id, b.split, cache.scratch())
 
-    def memory_added(self, executor_id: int, block: Block) -> None:
-        self._indexes[executor_id].add(block)
-        self._cache.touch(block.rdd_id, block.split, residency=True)
+        def density(b: Block) -> float:
+            if b.size_bytes <= 0:
+                return float("inf")  # frees nothing: last victim
+            return cache.block_value(b) / b.size_bytes
 
-    def memory_removed(self, executor_id: int, block: Block) -> None:
-        self._indexes[executor_id].remove(block.block_id)
-        self._cache.touch(block.rdd_id, block.split, residency=True)
+        return density
 
-    def disk_changed(self, executor_id: int, block: Block) -> None:
-        # Disk residency feeds ``recovery_cost`` (state "disk" vs "gone"),
-        # so descendant cost entries must be invalidated too.
-        self._cache.touch(block.rdd_id, block.split, residency=True)
+    def _residency_changed(self, executor_id: int, block: Block) -> None:
+        # Residency feeds every recovery cost: the decision epoch ends.
+        self._cache.touch()
 
-    def on_block_lost(self, executor: "Executor", block: Block) -> None:
-        # ``purge_lost`` already drove the residency listener (index entry
-        # removed, costs touched); what remains is memo hygiene for a
-        # partition that can never revalidate its cached entries.
-        super().on_block_lost(executor, block)
-        self._cache.forget(block.rdd_id, block.split)
+    memory_added = memory_removed = disk_changed = _residency_changed
 
     def predicted_recovery_cost(
         self, rdd_id: int, split: int, state: str
@@ -187,12 +150,6 @@ class BlazeCacheManager(CacheManager):
                 return None
             return self.cost_model.cost_remote(rdd_id, split, {})
         return self.cost_model.cost_r(rdd_id, split, self._state_of, {})
-
-    def on_memory_hit(self, executor: "Executor", block: Block, tm: TaskMetrics) -> None:
-        # Only the LRU ordering (+AutoCache) keys on access recency; the
-        # driver touches the block before this hook fires.
-        if not self.config.cost_aware_enabled:
-            self._indexes[executor.executor_id].mark_block(block.block_id)
 
     def on_remote_hit(self, executor: "Executor", block: Block, tm: TaskMetrics) -> None:
         """A remote-tier read promotes into free memory (never displaces).
@@ -220,33 +177,14 @@ class BlazeCacheManager(CacheManager):
         """
         if executor.executor_id in self._indexes:
             return
-        index = VictimIndex(
-            self._index_key_fn(), self.cluster.metrics, self._index_sensitivity
+        self._indexes[executor.executor_id] = VictimIndex(
+            self._index_key_fn(), executor.bm.memory, self.cluster.metrics
         )
-        self._indexes[executor.executor_id] = index
-        self._cache.indexes[executor.executor_id] = index
         executor.bm.add_residency_listener(self)
 
     def on_fleet_changed(self) -> None:
-        """Rebuild decision state after a fleet-membership change.
-
-        The home-executor mapping (``cluster.executor_for``) feeds
-        ``_state_of`` and therefore every memoized cost, but moves without
-        bumping the lineage version or any dirty counter — so cached
-        entries cannot be revalidated.  A fresh cost cache plus a forced
-        index rebuild keeps every cached read equal to a fresh computation
-        under the new fleet.
-        """
-        old = self._cache
-        self._cache = DecisionCostCache(
-            self.lineage, self.cost_model, self._future_state_of,
-            self.cluster.metrics, consulted=old.consulted,
-        )
-        # Same VictimIndex objects: their key closures read ``self._cache``
-        # at call time, so they price against the new cache automatically.
-        self._cache.indexes = old.indexes
-        for index in self._indexes.values():
-            index.invalidate()
+        """The home-executor mapping feeds ``_state_of``: the epoch ends."""
+        self._cache.touch()
 
     # ------------------------------------------------------------------
     # Residency
@@ -393,17 +331,13 @@ class BlazeCacheManager(CacheManager):
         compute_seconds: float,
         size_weight: float,
     ) -> None:
-        size_bytes = rdd.size_model.bytes_for(size_weight)
-        # Must run before the observation lands: it compares the new
-        # values against the currently recorded ones to decide whether
-        # any cached cost could change.
-        self._cache.note_observation(rdd.rdd_id, split, size_bytes, compute_seconds)
         self.lineage.observe_partition(
             rdd.rdd_id,
             split,
-            size_bytes=size_bytes,
+            size_bytes=rdd.size_model.bytes_for(size_weight),
             compute_seconds=compute_seconds,
         )
+        self._cache.touch()
 
     # ------------------------------------------------------------------
     # Admission + eviction (the unified decision, §4.1 / §4.2)
@@ -444,8 +378,8 @@ class BlazeCacheManager(CacheManager):
     # ------------------------------------------------------------------
     # Decision audit capture (``repro.obs``): pure readers of the same
     # pre-eviction snapshot every decision above consulted.  Cost probes
-    # go through the epoch caches: reads may populate memo entries, but
-    # are bit-equal to fresh computes and never change a decision.
+    # go through the epoch memo: reads may fill it, but never change a
+    # value or a decision.
     # ------------------------------------------------------------------
     def _audit_candidates(
         self, victims: list[Block], tier_of=None
@@ -572,7 +506,6 @@ class BlazeCacheManager(CacheManager):
             return
 
         index = self._indexes[executor.executor_id]
-        index.ensure_current(self.lineage.version, cache.touch_count)
         tier_of = None
         if quota_mode:
             tenant = tenancy.current_tenant
@@ -614,7 +547,7 @@ class BlazeCacheManager(CacheManager):
                 return
 
         # Resolve every victim's destination on the pre-eviction snapshot,
-        # then execute (each eviction invalidates the caches behind us).
+        # then execute (each eviction ends the epoch behind us).
         pre = self._audit_candidates(victims, tier_of) if audit is not None else ()
         plans = [self._eviction_plan(victim) for victim in victims]
         states = [

@@ -165,8 +165,9 @@ class MetricsCollector:
         self.ilp_migrations: int = 0
         # Decision-layer hot-path counters (PR 3): how much work the cache
         # manager did to reach its decisions.  ``victim_candidates_scanned``
-        # counts blocks whose ordering key was consulted during victim
-        # selection; the memo counters track the epoch cost cache.
+        # counts sorted residents walked during victim selection,
+        # ``victim_index_rekeys`` the order keys computed for the sort; the
+        # memo counters track reads of the epoch cost memo.
         self.cost_memo_hits: int = 0
         self.cost_memo_misses: int = 0
         self.victim_candidates_scanned: int = 0

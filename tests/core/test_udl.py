@@ -143,6 +143,28 @@ def test_future_state_discounts_dying_ancestors():
     pytest.skip("src not cached in this configuration")
 
 
+def test_an_observation_ends_the_decision_epoch():
+    """A cost read after a partition is observed is a fresh compute."""
+    ctx, manager = make_blaze_ctx()
+    src = ctx.source(lambda s, rng: [1.0] * 4, 2, size_model=SizeModel(bytes_per_element=MB))
+    derived = src.map(lambda x: x + 1)
+    derived.count()
+    before = manager._cache.cost_r(derived.rdd_id, 0)
+    manager.on_partition_computed(
+        derived, 0, 4, 4, compute_seconds=50.0, size_weight=4.0
+    )
+    fresh = manager.cost_model.cost_r(derived.rdd_id, 0, manager._future_state_of, {})
+    assert manager._cache.cost_r(derived.rdd_id, 0) == fresh != before
+
+
+def test_a_fleet_change_ends_the_decision_epoch():
+    # The home-executor mapping moves with the fleet, with no block moved.
+    _ctx, manager = make_blaze_ctx()
+    memo = manager._cache.scratch()
+    manager.on_fleet_changed()
+    assert manager._cache.scratch() is not memo
+
+
 @dataclass
 class _ExpensiveCachedBase(Workload):
     """An annotated, costly base read by every iteration's ``reduce_by_key``."""

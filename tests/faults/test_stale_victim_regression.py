@@ -1,31 +1,24 @@
-"""Regression: block loss must go through the engine's loss primitives.
+"""Regression: block loss and the decision layer's view of residency.
 
-The decision layer mirrors memory residency in a
-per-executor :class:`VictimIndex`, maintained by the block manager's
-residency listener.  Removing a memory block *behind the listener's back*
-(as a naive fault injector would: ``bm.memory.remove(block_id)``) leaves
-the index holding a ghost entry; the next pressure admission selects the
-ghost as its cheapest victim and the eviction trips a
-:class:`StorageError` deep inside the store.
+The victim order is sorted from the executor's memory store at every
+selection, so a block removed *behind the residency listener's back* (as
+a naive fault injector would: ``bm.memory.remove(block_id)``) can never
+be selected as a ghost victim — an index that mirrored residency through
+the listener selected the ghost and tripped a :class:`StorageError` deep
+inside the store.
 
 ``BlockManager.purge_lost`` — the loss primitive the fault layer uses —
-performs the same removal *through* the listener, so the identical
-admission sequence stays consistent.  ``DecisionCostCache.forget``
-(driven by ``on_block_lost``) is the companion hygiene for the cost
-memos: a vanished partition's entries can never be revalidated and must
-not be served stale after recovery recomputes it.
+performs the removal *through* the listener, which ends the decision
+epoch: the next cost read recomputes against the post-loss snapshot.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cluster.blocks import Block
 from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, MiB
 from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
-from repro.errors import StorageError
 from repro.metrics.collector import TaskMetrics
 
 
@@ -74,24 +67,27 @@ def _incoming_block() -> Block:
     )
 
 
-def test_raw_store_removal_leaves_a_stale_victim():
-    """The bug the loss primitive exists to prevent, pinned down.
+def test_raw_store_removal_leaves_no_ghost_victim():
+    """A block removed directly from the memory store is never selected.
 
-    A block removed directly from the memory store is still listed by the
-    victim index; admitting under pressure selects the ghost and the
-    spill blows up inside the store.
+    The index never hears about the removal, but it reads the store at
+    selection time: admitting under pressure displaces the true LRU
+    victim (split 1) and the spill succeeds.
     """
     ctx = _lru_ctx()
     try:
         rdd = _fill_memory(ctx)
         executor = ctx.cluster.executors[0]
-        # Behind the listener's back: the index never hears about this.
+        # Behind the listener's back: the decision layer never hears of it.
         executor.bm.memory.remove((rdd.rdd_id, 0))
 
-        with pytest.raises(StorageError, match="missing block"):
-            ctx.cache_manager._admit(
-                executor, _incoming_block(), 1, TaskMetrics(), from_disk=False
-            )
+        ctx.cache_manager._admit(
+            executor, _incoming_block(), 1, TaskMetrics(), from_disk=False
+        )
+        bm = executor.bm
+        assert (999, 0) in bm.memory
+        assert (rdd.rdd_id, 1) in bm.disk
+        assert (rdd.rdd_id, 0) not in bm.disk
     finally:
         ctx.stop()
 
@@ -110,19 +106,16 @@ def test_purge_lost_keeps_admissions_working():
         )
         bm = executor.bm
         # The incoming block displaced the true LRU victim (split 1): one
-        # spill to disk, the ghost never considered, and the store's
-        # picture matches the index's.
+        # spill to disk, the lost block never considered.
         assert (999, 0) in bm.memory
         assert (rdd.rdd_id, 1) in bm.disk
         assert ctx.metrics.blocks_lost == 1
-        index = ctx.cache_manager._indexes[executor.executor_id]
-        assert set(index._blocks) == {b.block_id for b in bm.memory.blocks()}
     finally:
         ctx.stop()
 
 
 def test_on_block_lost_forgets_cost_memos():
-    """A lost partition's memoized costs are dropped, not served stale."""
+    """The read after a loss is a fresh compute, not a stale memo entry."""
     bcfg = BlazeConfig(
         cost_aware_enabled=True,
         recompute_option_enabled=False,
@@ -141,16 +134,20 @@ def test_on_block_lost_forgets_cost_memos():
     )
     try:
         rdd = _fill_memory(ctx)
-        dc = ctx.cache_manager._cache
+        manager = ctx.cache_manager
+        dc = manager._cache
         dc.potential_cost(rdd.rdd_id, 0)
         dc.cost_r(rdd.rdd_id, 0)
-        assert (rdd.rdd_id, 0) in dc._pc
-        assert (rdd.rdd_id, 0) in dc._cr
 
         executor = ctx.cluster.executors[0]
         lost = executor.bm.purge_lost((rdd.rdd_id, 0))
-        ctx.cache_manager.on_block_lost(executor, lost)
-        assert (rdd.rdd_id, 0) not in dc._pc
-        assert (rdd.rdd_id, 0) not in dc._cr
+        manager.on_block_lost(executor, lost)
+        misses = ctx.metrics.cost_memo_misses
+        model, state_fn = manager.cost_model, manager._future_state_of
+        assert dc.potential_cost(rdd.rdd_id, 0) == model.potential_cost(
+            rdd.rdd_id, 0, state_fn, {}
+        )
+        assert dc.cost_r(rdd.rdd_id, 0) == model.cost_r(rdd.rdd_id, 0, state_fn, {})
+        assert ctx.metrics.cost_memo_misses == misses + 1, "the loss ended the epoch"
     finally:
         ctx.stop()

@@ -161,12 +161,14 @@ def decision_oracle():
         for term in terms:
             if term.cost_d is None:
                 continue
-            cost_d = self.cost_model.cost_d(term.rdd_id, term.split, {})
-            cost_r = self.cost_model.cost_r(
-                term.rdd_id, term.split, self._future_state_of, {}
-            )
+            model, state_fn = self.cost_model, self._future_state_of
+            cost_d = model.cost_d(term.rdd_id, term.split, {})
+            cost_r = model.cost_r(term.rdd_id, term.split, state_fn, {})
             assert (term.cost_d, term.cost_r) == (cost_d, cost_r)
-            assert term.potential_cost == min(cost_d, cost_r)
+            # with the remote tier bound, remote read-back joins the minimum
+            assert term.potential_cost == model.potential_cost(
+                term.rdd_id, term.split, state_fn, {}
+            )
             checks["audited_costs"] += 1
         return terms
 
@@ -192,16 +194,34 @@ def decision_oracle():
         yield checks
 
 
-@pytest.mark.parametrize("system", ["blaze", "autocache", "costaware"])
-def test_decisions_match_fresh_derivation(system):
+# Block loss and fleet changes (with the remote tier) end decision epochs
+# outside the admission path, so Blaze is also checked under both.
+@pytest.mark.parametrize(
+    "system, scenario",
+    [
+        pytest.param("blaze", None, id="blaze"),
+        pytest.param("autocache", None, id="autocache"),
+        pytest.param("costaware", None, id="costaware"),
+        pytest.param("blaze", "fault", id="blaze-fault"),
+        pytest.param("blaze", "scale", id="blaze-scale"),
+    ],
+)
+def test_decisions_match_fresh_derivation(system, scenario):
+    def run(obs: bool) -> str:
+        return _trace(
+            system, obs=obs,
+            schedule=_fault_schedule() if scenario == "fault" else None,
+            scale_schedule=_scale_schedule() if scenario == "scale" else None,
+        )
+
     with decision_oracle() as checks:
-        checked = _trace(system, obs=True)
+        checked = run(obs=True)
     assert checks["selections"] > 0
     if system != "autocache":
         assert checks["audited_costs"] > 0
     if system == "blaze":
         assert checks["eviction_states"] > 0
-    assert checked == _trace(system), "the oracle is a pure reader"
+    assert checked == run(obs=False), "the oracle is a pure reader"
 
 
 def _quota_service_run() -> tuple[str, Counter]:

@@ -1,17 +1,20 @@
 """Property tests: the decision structures match a from-scratch derivation.
 
 The victim index must return the *exact* victim sequence the reference
-filter-and-sort (``conftest.reference_select``) produces for every
-ordering mode (value density, cost_d, LRU) under arbitrary
-add/remove/re-key interleavings — with and without the quota fairness
-tier — and the epoch cost cache must serve hits only while its
-invalidation contract says the cached value is still current.
+filter-and-sort (``conftest.reference_select``) produces over the memory
+store it reads, for every ordering mode (value density, cost_d, LRU)
+under arbitrary put/remove/re-key interleavings — with and without the
+quota fairness tier — and every read of the epoch cost memo must equal a
+fresh-memo ``CostModel`` compute against the same snapshot.
 """
+
+from types import SimpleNamespace
 
 from conftest import reference_select
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster.blocks import Block
+from repro.cluster.stores import BlockStore
 from repro.config import DiskConfig, MiB
 from repro.core.cost_lineage import CostLineage
 from repro.core.cost_model import CostModel
@@ -33,11 +36,15 @@ def _make_block(
     )
 
 
+def _store() -> BlockStore:
+    return BlockStore(1e9, "memory")
+
+
 # Each op is (kind, block_slot, payload); slots address a small universe of
-# block ids so adds/removes/re-keys collide in interesting ways.
+# block ids so puts/removes/re-keys collide in interesting ways.
 ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["add", "remove", "rekey", "rekey_unstable", "bump_version", "select"]),
+        st.sampled_from(["add", "remove", "rekey", "select"]),
         st.integers(min_value=0, max_value=11),
         st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     ),
@@ -47,81 +54,57 @@ ops_strategy = st.lists(
 
 
 def _run_mode(mode: str, ops) -> None:
-    """Drive index + reference through one op sequence, comparing
-    every selection.  Key semantics per mode:
+    """Drive a store-backed index through one op sequence, comparing every
+    selection with the reference over the store.  Key semantics per mode:
 
-    - ``blaze``:     key = value / size (value mutable, stability varies)
-    - ``costaware``: key = cost_d (mutable, stability varies)
-    - ``autocache``: key = last_access (always stable, touch-to-front)
+    - ``blaze``:     key = value / size (value mutable)
+    - ``costaware``: key = cost_d (mutable)
+    - ``autocache``: key = last_access (touch-to-front)
     """
     universe = [(rdd, split) for rdd in range(4) for split in range(3)]
     values: dict = {}
-    stables: dict = {}
 
     def key_fn(block):
-        bid = block.block_id
         if mode == "autocache":
-            return block.last_access, True
+            return block.last_access
         if mode == "costaware":
-            return values[bid], stables[bid]
-        return values[bid] / block.size_bytes, stables[bid]
+            return values[block.block_id]
+        return values[block.block_id] / block.size_bytes
 
-    index = VictimIndex(key_fn)
-    live: dict = {}
-    version, touch_count, seq, clock = 0, 0, 0, 0.0
+    store = _store()
+    index = VictimIndex(key_fn, store)
+    seq, clock = 0, 0.0
 
     for kind, slot, payload in ops:
         bid = universe[slot]
         if kind == "add":
-            if bid in live:
+            if bid in store:
                 continue
             seq += 1
             block = _make_block(bid[0], bid[1], size=10.0 + slot, seq=seq)
             values[bid] = payload
-            stables[bid] = slot % 2 == 0
-            live[bid] = block
-            index.add(block)
+            store.put(block)
             clock += 1.0
             block.touch(clock)  # the driver touches right after insertion
-            touch_count += 1  # residency changed
         elif kind == "remove":
-            if live.pop(bid, None) is None:
-                continue
-            index.remove(bid)
-            touch_count += 1
+            if bid in store:
+                store.remove(bid)
         elif kind == "rekey":
-            if bid not in live:
+            if bid not in store:
                 continue
             if mode == "autocache":
                 clock += 1.0
-                live[bid].touch(clock)
+                store.get(bid).touch(clock)
             else:
                 values[bid] = payload
-            index.mark_block(bid)
-            touch_count += 1
-        elif kind == "rekey_unstable":
-            # Contract: values that consulted an estimate may shift on ANY
-            # touch without a per-block mark; ensure_current must re-stale
-            # them off the touch counter alone.
-            if mode == "autocache" or bid not in live or stables.get(bid, True):
-                continue
-            values[bid] = payload
-            touch_count += 1
-        elif kind == "bump_version":
-            version += 1
         else:  # select
             needed = payload + 1.0
-            index.ensure_current(version, touch_count)
             got, _scanned = index.select(needed, incoming_rdd_id=slot % 4)
-            want = reference_select(
-                live.values(), lambda b: key_fn(b)[0], needed, slot % 4
-            )
+            want = reference_select(store.blocks(), key_fn, needed, slot % 4)
             assert got == want, (mode, kind, slot, payload)
 
-    index.ensure_current(version, touch_count)
     got, _ = index.select(5.0, incoming_rdd_id=-1)
-    want = reference_select(live.values(), lambda b: key_fn(b)[0], 5.0, -1)
-    assert got == want
+    assert got == reference_select(store.blocks(), key_fn, 5.0, -1)
 
 
 @settings(max_examples=120, deadline=None)
@@ -143,10 +126,10 @@ def test_index_matches_naive_lru_ordering(ops):
 
 
 # Quota mode: the fairness tier leads the order but cannot live in the
-# stored key (it depends on the inserter and on live usage), so the index
-# partitions its live walk per admission.  Keys come from a small pool so
-# ties fall through to (seq, block_id); removals and re-keys leave
-# tombstones the walk must skip.
+# key (it depends on the inserter and on live usage), so the index
+# partitions its sorted walk per admission.  Keys come from a small pool
+# so ties fall through to (seq, block_id); removals and re-keys between
+# selections must not leave anything behind.
 @settings(max_examples=200, deadline=None)
 @given(
     specs=st.lists(
@@ -171,46 +154,47 @@ def test_tiered_walk_matches_reference_with_tier_key(
     specs, churn, other_tiers, needed, own_need, incoming_rdd_id
 ):
     keys: dict = {}
-    index = VictimIndex(lambda b: (keys[b.block_id], True))
-    live: dict = {}
+    store = _store()
+    index = VictimIndex(lambda b: keys[b.block_id], store)
     for slot, (key, size, tenant) in enumerate(specs):
         block = _make_block(slot % 4, slot // 4, size, seq=slot, tenant=tenant)
         keys[block.block_id] = float(key)
-        live[block.block_id] = block
-        index.add(block)
-    index.ensure_current(0, 0)
-    for touch, (slot, new_key) in enumerate(churn, start=1):
+        store.put(block)
+    for slot, new_key in churn:
         bid = (slot % 4, slot // 4)
-        if bid not in live:
+        if bid not in store:
             continue
         if new_key == 0:
-            index.remove(live.pop(bid).block_id)
+            store.remove(bid)
         else:
             keys[bid] = float(new_key)
-            index.mark_block(bid)
-        index.ensure_current(0, touch)
 
     tiers = {"a": 1, None: 1, "b": other_tiers[0], "c": other_tiers[1]}
     terms = (lambda b: tiers[b.tenant], "a", own_need)
     got, scanned = index.select_tiered(needed, incoming_rdd_id, *terms)
     want = reference_select(
-        live.values(), lambda b: keys[b.block_id], needed, incoming_rdd_id, *terms
+        store.blocks(), lambda b: keys[b.block_id], needed, incoming_rdd_id, *terms
     )
     assert got == want
-    assert scanned == sum(b.rdd_id != incoming_rdd_id for b in live.values())
+    assert scanned == sum(b.rdd_id != incoming_rdd_id for b in store.blocks())
 
 
 # ----------------------------------------------------------------------
-# Epoch memo invalidation
+# The epoch memo
 # ----------------------------------------------------------------------
-def _chain_cache(splits: int = 2):
-    """Chain 0 -> 1 -> 2, all partitions observed, mutable residency."""
+def _counters() -> SimpleNamespace:
+    return SimpleNamespace(cost_memo_hits=0, cost_memo_misses=0)
+
+
+def _chain_cache(splits: int = 2, observed: bool = True):
+    """Chain 0 -> 1 -> 2 with mutable residency (and, unless ``observed``,
+    only split 0 observed, so split 1 leans on regression estimates)."""
     lin = CostLineage()
     lin.register_rdd(0, (), splits)
     lin.register_rdd(1, (0,), splits)
     lin.register_rdd(2, (1,), splits)
     for rdd in range(3):
-        for split in range(splits):
+        for split in range(splits if observed else 1):
             lin.observe_partition(
                 rdd, split, size_bytes=(rdd + 1) * 10 * MiB, compute_seconds=float(rdd + 1)
             )
@@ -219,119 +203,68 @@ def _chain_cache(splits: int = 2):
     def state_fn(rdd_id, split):
         return residency.get((rdd_id, split), "gone")
 
-    cache = DecisionCostCache(lin, CostModel(lin, DiskConfig()), state_fn)
+    cache = DecisionCostCache(lin, CostModel(lin, DiskConfig()), state_fn, _counters())
     return lin, cache, residency
 
 
 def test_memo_serves_hits_until_touch():
-    lin, cache, residency = _chain_cache()
+    _lin, cache, residency = _chain_cache()
+    counters = cache.collector
     first = cache.cost_r(2, 0)
-    assert cache.cost_r(2, 0) == first  # second call is a pure memo hit
-    assert (2, 0) in cache._cr
+    assert cache.cost_r(2, 0) == first
+    assert (counters.cost_memo_misses, counters.cost_memo_hits) == (1, 1)
 
-    # Residency of an ancestor partition changes: the dependent entry must
-    # recompute and see the new state.
+    # Residency of an ancestor partition changes and the epoch ends: the
+    # read recomputes and sees the new state.
     residency[(1, 0)] = "mem"
-    cache.touch(1, 0)
+    cache.touch()
     assert cache.cost_r(2, 0) < first
-
-    # The congruent partition of the *other* split never depended on
-    # (1, 0); its entry must still validate.
-    before = cache.cost_r(2, 1)
-    residency[(1, 0)] = "gone"
-    cache.touch(1, 0)
-    assert cache.cost_r(2, 1) == before
-    entry = cache._cr[(2, 1)]
-    value, hit = cache._lookup(cache._cr, 2, 1)
-    assert hit and value == entry[0]
-
-
-def test_touch_invalidates_exactly_reachable_partitions():
-    _lin, cache, _residency = _chain_cache()
-    for rdd in range(3):
-        for split in range(2):
-            cache.cost_r(rdd, split)
-    cache.touch(0, 1)
-    # split 1 of every descendant is stale, split 0 everywhere still valid
-    for rdd in range(3):
-        assert cache._lookup(cache._cr, rdd, 0)[1]
-        assert not cache._lookup(cache._cr, rdd, 1)[1]
-
-
-lineage_strategy = st.lists(
-    st.tuples(
-        st.lists(st.integers(min_value=0, max_value=30), max_size=3),
-        st.sampled_from([0, 1, 2, 3, 4, 6, 8]),
-    ),
-    min_size=1,
-    max_size=10,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(spec=lineage_strategy)
-def test_affected_pairs_are_exactly_the_partitions_that_read_the_touched_one(spec):
-    # Dataset i has parents drawn from 0..i-1 (duplicates allowed, as in
-    # zip(a, a)) and a split count mixing equal, narrower and wider
-    # children.  A count of 0 is a dataset whose count
-    # the lineage does not know: the recursion treats it as one split,
-    # and a touch may name a split past it.
-    lin = CostLineage()
-    for rdd_id, (picks, splits) in enumerate(spec):
-        parents = tuple(p % rdd_id for p in picks) if rdd_id else ()
-        lin.register_rdd(rdd_id, parents, splits)
-    cache = DecisionCostCache(lin, None, None)
-
-    def reads(rdd_id: int, split: int) -> set:
-        """Every (dataset, split) the cost recursion of one partition visits."""
-        seen = {(rdd_id, split)}
-        stack = [(rdd_id, split)]
-        while stack:
-            r, s = stack.pop()
-            for p in lin.parents_of(r):
-                key = (p, s % max(lin.num_splits_of(p), 1))
-                if key not in seen:
-                    seen.add(key)
-                    stack.append(key)
-        return seen
-
-    everything = [(r, s) for r, (_p, n) in enumerate(spec) for s in range(max(n, 1))]
-    closure = {key: reads(*key) for key in everything}
-    for rdd_id, (_p, n) in enumerate(spec):
-        for split in range(n + 2):
-            key = (rdd_id, split)
-            pairs = cache._affected_pairs(*key)
-            assert len(pairs) == len(set(pairs))
-            assert set(pairs) == {key} | {
-                other for other in everything if key in closure[other]
-            }
+    assert (counters.cost_memo_misses, counters.cost_memo_hits) == (2, 1)
 
 
 def test_lineage_version_change_invalidates_everything():
     lin, cache, _residency = _chain_cache()
     cache.cost_r(2, 0)
+    memo = cache.scratch()
     lin.register_rdd(3, (2,), 2)  # structure change bumps lineage.version
-    assert not cache._lookup(cache._cr, 2, 0)[1]
+    assert cache.scratch() is not memo and cache.scratch() == {}
+    cache.cost_r(2, 0)
+    assert cache.collector.cost_memo_misses == 2
 
 
-def test_unobserved_estimates_are_volatile():
-    lin = CostLineage()
-    lin.register_rdd(0, (), 2)
-    lin.register_rdd(1, (0,), 2)
-    lin.observe_partition(0, 0, size_bytes=10 * MiB, compute_seconds=1.0)
-    lin.observe_partition(1, 0, size_bytes=20 * MiB, compute_seconds=2.0)
-    cache = DecisionCostCache(lin, CostModel(lin, DiskConfig()), lambda r, s: "gone")
-
-    # (1, 1) is unobserved: its costs lean on estimates, so the entry is
-    # stamped volatile and must die on a touch of an *unrelated* partition.
-    cache.cost_r(1, 1)
-    assert cache._cr[(1, 1)][3] is not None  # volatile stamp
-    cache.touch(0, 0)
-    assert not cache._lookup(cache._cr, 1, 1)[1]
-
-    # The fully observed partition survives the same touch of a partition
-    # outside its dependency cone.
-    cache.cost_r(1, 0)
-    assert cache._cr[(1, 0)][3] is None
-    cache.touch(0, 1)
-    assert cache._lookup(cache._cr, 1, 0)[1]
+# Every read in any epoch equals a fresh-memo compute, whatever mix of
+# residency changes and observations (of observed and estimated
+# partitions alike) ended the epochs before it.
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["state", "observe", "read"]),
+            st.integers(min_value=0, max_value=2),  # dataset
+            st.integers(min_value=0, max_value=1),  # split
+            st.sampled_from(["mem", "disk", "gone"]),
+            st.floats(min_value=0.5, max_value=50.0),
+        ),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_epoch_reads_equal_fresh_computes(ops):
+    lin, cache, residency = _chain_cache(observed=False)
+    model = cache.cost_model
+    for kind, rdd, split, state, value in ops:
+        if kind == "state":
+            residency[(rdd, split)] = state
+            cache.touch()
+        elif kind == "observe":
+            lin.observe_partition(rdd, split, size_bytes=value * MiB, compute_seconds=value)
+            cache.touch()
+        else:
+            fn = cache.state_fn
+            assert cache.cost_r(rdd, split) == model.cost_r(rdd, split, fn, {})
+            assert cache.potential_cost(rdd, split) == model.potential_cost(
+                rdd, split, fn, {}
+            )
+            assert cache.preferred_state(rdd, split) == model.preferred_eviction_state(
+                rdd, split, fn, {}
+            )

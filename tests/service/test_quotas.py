@@ -23,7 +23,7 @@ from repro.metrics.collector import TaskMetrics
 from repro.service import JobService
 from repro.service.tenancy import take_tiered
 from repro.systems import make_system
-from repro.tracing import InMemoryTracer
+from repro.tracing import InMemoryTracer, to_jsonl
 
 
 def _cluster(memory_mb: int = 64) -> ClusterConfig:
@@ -151,18 +151,19 @@ def test_empty_quota_map_is_fully_inert():
 
 # The baseline's tiered selection, checked online on the 3-tenant quota
 # service (``conftest.quota_service``): every selection must equal the
-# reference filter + full sort by ``(tier, last_access, block_id)`` over
-# the inserting executor's memory store, and victims must come from all
-# three fairness tiers.
-@pytest.mark.parametrize("system", ["spark_mem_disk", "spark_lrc"])
+# reference filter + full sort by ``(tier, victim_priority, seq,
+# block_id)`` — the executor's own policy order behind the fairness tier —
+# over the inserting executor's memory store, victims must come from all
+# three fairness tiers, and the audit log must say which.
+@pytest.mark.parametrize("system", ["spark_mem_disk", "spark_lrc", "spark_lfu"])
 def test_spark_quota_selections_match_reference(system):
     checks: Counter = Counter()
     tiers: set = set()
-    inserting: list = []  # block manager of the running handle_cache
+    inserting: list = []  # (manager, executor) of the running handle_cache
     handle_cache = SparkCacheManager.handle_cache
 
     def tracked_handle_cache(self, executor, *args, **kwargs):
-        inserting.append(executor.bm)
+        inserting.append((self, executor))
         try:
             return handle_cache(self, executor, *args, **kwargs)
         finally:
@@ -172,8 +173,10 @@ def test_spark_quota_selections_match_reference(system):
         victims, scanned = take_tiered(
             blocks, needed, incoming_rdd_id, tier_of, tenant, own_need
         )
+        manager, executor = inserting[-1]
+        policy, now = manager.policy_for(executor), manager.cluster.clock.now
         want = reference_select(
-            inserting[-1].memory.blocks(), lambda b: (b.last_access, b.block_id),
+            executor.bm.memory.blocks(), lambda b: policy.victim_priority(b, now),
             needed, incoming_rdd_id, tier_of, tenant, own_need,
         )
         ids = None if victims is None else [v.block_id for v in victims]
@@ -187,10 +190,29 @@ def test_spark_quota_selections_match_reference(system):
         mock.patch("repro.caching.manager.take_tiered", checked_take_tiered),
         quota_service(system, InMemoryTracer()) as service,
     ):
-        for handle in service.run():
+        handles = service.run()
+        for handle in handles:
             handle.result()
+        audited = [
+            victim.tier
+            for entry in handles[0].report().audit_entries
+            for victim in entry.victims
+        ]
     assert checks["selections"] > 0
     assert tiers == {0, 1, 2}, "every fairness tier must be evicted from"
+    assert audited and set(audited) <= {0, 1, 2}, "audited victims carry their tier"
+
+
+def test_spark_quota_victims_follow_each_policy():
+    """Under quotas LRU, LRC and LFU still pick different victims."""
+    traces = set()
+    for system in ("spark_mem_disk", "spark_lrc", "spark_lfu"):
+        tracer = InMemoryTracer()
+        with quota_service(system, tracer) as service:
+            for handle in service.run():
+                handle.result()
+        traces.add(to_jsonl(tracer.events))
+    assert len(traces) == 3
 
 
 # ----------------------------------------------------------------------
