@@ -45,14 +45,14 @@ class BlockManager:
         #: and an optional ``released`` hook on store shutdown.
         self.residency_listeners: list = []
         #: the cluster-wide remote-memory pool + its performance model
-        #: (``repro.elastic``); None unless the elastic subsystem enabled
-        #: the tier.  The pool is shared by every block manager — a block
+        #: (``repro.elastic``); None unless the context was given a scale
+        #: schedule.  The pool is shared by every block manager — a block
         #: demoted here is readable fleet-wide and survives preemption.
         self.remote = None
         self.remote_config = None
 
     def bind_remote(self, store, config) -> None:
-        """Attach the shared remote pool (elastic tier enablement)."""
+        """Attach the shared remote pool (built for a scale schedule)."""
         self.remote = store
         self.remote_config = config
 

@@ -52,7 +52,7 @@ class Cluster:
         #: fleet controller activates/parks ids at stage boundaries.
         self._active_ids: list[int] = list(range(config.num_executors))
         #: cluster-wide remote-memory pool (``repro.elastic``); None unless
-        #: the elastic subsystem enabled the tier.  The pool belongs to the
+        #: the context was given a scale schedule.  The pool belongs to the
         #: cluster, not to any executor — blocks in it survive preemption.
         self.remote_store: "BlockStore | None" = None
         self.remote_config: "RemoteMemoryConfig | None" = None

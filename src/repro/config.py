@@ -76,10 +76,6 @@ class ClusterConfig:
     # scope; one job of retention reproduces the iterative-workload pattern
     # where recomputation has to re-run upstream map stages.
     shuffle_retention_jobs: int = 1
-    # Opt-in structured tracing: when True (and no explicit tracer is
-    # passed to BlazeContext) the context records an in-memory trace of
-    # spans and cache events on the virtual clock.
-    tracing_enabled: bool = False
 
     def __post_init__(self) -> None:
         if self.num_executors <= 0:
@@ -137,19 +133,15 @@ class RemoteMemoryConfig:
 class ElasticConfig:
     """Tunables of the elastic-fleet subsystem (``repro.elastic``).
 
-    ``enabled`` is the master kill switch and defaults to off: with it
-    down, a :class:`~repro.elastic.ScaleSchedule` handed to a context is
-    inert, the remote-memory tier is never built, and every elastic
-    counter stays exactly zero — runs are byte-identical to the
-    fixed-fleet engine.  With it up, scale events fire at stage
-    boundaries on the virtual clock (scale-up activates executors up to
-    ``max_executors``, scale-down drains and deactivates down to
-    ``min_executors``, preemption reuses the fault layer's crash wipe)
-    and the remote tier joins the eviction ladder between memory and
-    disk.
+    A :class:`~repro.elastic.ScaleSchedule` passed to the context is the
+    switch: it builds the remote-memory tier (between memory and disk on
+    the eviction ladder), and a non-empty one also fires scale events at
+    stage boundaries on the virtual clock (scale-up activates executors
+    up to ``max_executors``, scale-down drains and deactivates down to
+    ``min_executors``, preemption reuses the fault layer's crash wipe).
+    Without a schedule these tunables are unread.
     """
 
-    enabled: bool = False
     min_executors: int = 1
     max_executors: int = 64
     remote_memory: RemoteMemoryConfig = field(default_factory=RemoteMemoryConfig)
@@ -167,8 +159,8 @@ class ServiceConfig:
 
     The service admits a seeded stream of applications over the virtual
     clock and interleaves their jobs on one shared executor fleet.  All
-    knobs here only matter for :class:`~repro.service.JobService`; the
-    legacy single-tenant ``BlazeContext`` path ignores them.
+    knobs reach it as ``JobService(service_config=...)``; the legacy
+    single-tenant ``BlazeContext`` path pins its own.
     """
 
     # Arrival process for submitted application streams: "poisson" draws
@@ -266,18 +258,17 @@ class BlazeConfig:
     Engine kill switches at a glance (each is documented in detail at its
     field below):
 
-    - ``fault_injection`` — deterministic fault injection (off by
-      default; a FaultSchedule is inert without it);
-    - ``service.dedup_enabled`` — cross-application lineage dedup on the
-      :class:`~repro.service.JobService` path (see :class:`ServiceConfig`);
     - ``obs.enabled`` — decision audit log + virtual-clock sampler (pure
       readers; traces byte-identical either way, see :class:`ObsConfig`);
     - ``sharded_engine`` — fan task execution out across shard workers
       (``repro.shard``) while the coordinator replays the engine
-      sequentially; traces byte-identical either way (docs/scaling.md);
-    - ``elastic.enabled`` — elastic fleets + the remote-memory tier
-      (``repro.elastic``; off by default, a ScaleSchedule is inert
-      without it; see :class:`ElasticConfig` and docs/elasticity.md).
+      sequentially; traces byte-identical either way (docs/scaling.md).
+
+    The scenario layers have no switch here: the argument passed to the
+    context arms each one — a ``fault_schedule`` the fault injector, a
+    ``scale_schedule`` the remote tier and the elastic fleet, a
+    ``tracer`` the trace, a ``service_config`` the job-service knobs
+    (docs/faults.md, docs/elasticity.md).
     """
 
     # Dependency-extraction phase (section 5.1 / 7.5).
@@ -305,12 +296,10 @@ class BlazeConfig:
     # discarded and nothing is spilled.
     disk_enabled: bool = True
 
-    # Deterministic fault injection (the ``repro.faults`` subsystem).  The
-    # kill switch defaults to off: a FaultSchedule handed to a context is
-    # inert unless ``fault_injection`` is raised.  The retry knob bounds
+    # Deterministic fault injection (the ``repro.faults`` subsystem) runs
+    # whenever a FaultSchedule is passed to the context.  This knob bounds
     # the driver's task-reattempt loop (Spark's spark.task.maxFailures
     # analogue).
-    fault_injection: bool = False
     fault_max_task_retries: int = 4
 
     # Sharded simulation engine (the ``repro.shard`` package).  Executors
@@ -327,16 +316,13 @@ class BlazeConfig:
     num_shards: int = 2
     shard_transport: str = "local"
 
-    # Multi-tenant job-service knobs (arrival stream, inter-job policy,
-    # tenant quotas, cross-application dedup).  See :class:`ServiceConfig`.
-    service: ServiceConfig = field(default_factory=ServiceConfig)
-
     # Observability layer (decision audit log, occupancy sampler,
     # Prometheus/dashboard exporters).  See :class:`ObsConfig`.
     obs: ObsConfig = field(default_factory=ObsConfig)
 
-    # Elastic fleets + the cluster-wide remote-memory tier (the
-    # ``repro.elastic`` package).  See :class:`ElasticConfig`.
+    # Tunables of elastic fleets + the cluster-wide remote-memory tier
+    # (the ``repro.elastic`` package), read when a ScaleSchedule is
+    # passed.  See :class:`ElasticConfig`.
     elastic: ElasticConfig = field(default_factory=ElasticConfig)
 
     def __post_init__(self) -> None:

@@ -85,9 +85,11 @@ class BlazeCacheManager(CacheManager):
 
     def attach(self, cluster: "Cluster") -> None:
         super().attach(cluster)
-        elastic = self.config.elastic
-        remote = elastic.remote_memory if elastic.enabled else None
-        self.cost_model = CostModel(self.lineage, cluster.config.disk, remote)
+        # Price the tiers this cluster has: the remote pool exists only
+        # when the context was given a scale schedule.
+        self.cost_model = CostModel(
+            self.lineage, cluster.config.disk, cluster.remote_config
+        )
         if self.profile is not None:
             self.profile.seed(self.lineage)
         self._cache = DecisionCostCache(
@@ -146,8 +148,6 @@ class BlazeCacheManager(CacheManager):
         if state == "disk":
             return self.cost_model.cost_d(rdd_id, split, {})
         if state == "remote":
-            if self.cost_model.remote is None:
-                return None
             return self.cost_model.cost_remote(rdd_id, split, {})
         return self.cost_model.cost_r(rdd_id, split, self._state_of, {})
 

@@ -15,9 +15,9 @@ latency / serialization model, threaded through the cost model (Eq. 2/3)
 and the eviction ladder; blocks in it survive preemption.
 
 Everything is deterministic: same seed + same schedule ⇒ byte-identical
-traces.  The whole layer sits behind the ``BlazeConfig.elastic`` kill
-switch (default off) — a schedule passed to a context with the switch
-down is inert, and every elastic counter stays zero.  See
+traces.  The schedule is the switch: passing one to a context builds the
+remote tier (an empty one keeps the fleet fixed), and without one the
+layer is never built and every elastic counter stays zero.  See
 ``docs/elasticity.md``.
 """
 

@@ -20,7 +20,7 @@ from ..dataflow.context import BlazeContext
 from ..elastic.schedule import ScaleSchedule
 from ..faults.schedule import FaultSchedule
 from ..systems.presets import make_system
-from ..tracing import InMemoryTracer, NULL_TRACER, RunReport, Tracer
+from ..tracing import NULL_TRACER, RunReport, Tracer
 from ..workloads.base import Workload, WorkloadResult
 from ..workloads.registry import make_workload
 
@@ -92,24 +92,23 @@ def run_experiment(
     ``workload`` is a registry name or an already-parameterized
     :class:`~repro.workloads.base.Workload` instance (used by harnesses
     that vary parameters beyond the scale presets, e.g. the pressure
-    cells of ``bench/`` and the tests).  ``tracer=None`` defers to
-    ``cluster_config.tracing_enabled`` (an
-    :class:`~repro.tracing.InMemoryTracer` is created when set); pass an
-    explicit tracer to capture the trace yourself.
+    cells of ``bench/`` and the tests).  Pass a ``tracer`` (e.g. an
+    :class:`~repro.tracing.InMemoryTracer`) to capture the trace; without
+    one the cell runs untraced.
 
-    ``fault_schedule`` (with ``blaze_config.fault_injection`` on — the
-    double opt-in) runs the cell under deterministic fault injection; the
-    fault/recovery counters land in ``report.fault_counters``.
-    ``scale_schedule`` (with ``blaze_config.elastic.enabled`` — the same
-    double opt-in) runs the cell on an elastic fleet; the scale/migration
-    counters land in ``report.elastic_counters``.
+    A ``fault_schedule`` runs the cell under deterministic fault
+    injection; the fault/recovery counters land in
+    ``report.fault_counters``.  A ``scale_schedule`` adds the
+    remote-memory tier and, when non-empty, runs the cell on an elastic
+    fleet; the scale/migration counters land in
+    ``report.elastic_counters``.
     """
     spec = make_system(system)
     wl = workload if isinstance(workload, Workload) else make_workload(workload, scale)
     config = cluster_config or cluster_for_scale(scale)
     bcfg = blaze_config or BlazeConfig()
     if tracer is None:
-        tracer = InMemoryTracer() if config.tracing_enabled else NULL_TRACER
+        tracer = NULL_TRACER
 
     profile = None
     profiling_seconds = 0.0

@@ -10,9 +10,9 @@ recovers through the engine's lineage paths (disk read-back, recursive
 recomputation, shuffle map-stage re-execution).
 
 Everything is deterministic: same seed + same schedule ⇒ byte-identical
-traces.  The whole layer sits behind the ``BlazeConfig.fault_injection``
-kill switch (default off) — a schedule passed to a context with the switch
-down is inert.  See ``docs/fault_injection.md``.
+traces.  The schedule is the switch: passing one to a context arms the
+injector (an empty one only calibrates recovery costs), and without one
+the layer is never built.  See ``docs/faults.md``.
 """
 
 from .injector import FaultInjector, InjectedTaskFailure

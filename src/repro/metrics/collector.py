@@ -241,8 +241,8 @@ class MetricsCollector:
         # Elastic-fleet and remote-memory-tier counters (``repro.elastic``):
         # scale events applied by the fleet controller, executors joining /
         # leaving the fleet, blocks migrated off draining executors, and
-        # the remote tier's demotion/promotion/hit traffic.  All zero with
-        # ``BlazeConfig.elastic`` off.
+        # the remote tier's demotion/promotion/hit traffic.  All zero without
+        # a scale schedule.
         self.scale_events: int = 0
         self.scale_ups: int = 0
         self.scale_downs: int = 0

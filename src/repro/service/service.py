@@ -35,7 +35,7 @@ from ..elastic.schedule import ScaleSchedule
 from ..errors import ServiceError
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
-from ..tracing.tracer import NULL_TRACER, InMemoryTracer, Tracer
+from ..tracing.tracer import NULL_TRACER, Tracer
 from .arrivals import make_arrivals
 from .client import JobClient, JobHandle
 from .identity import build_signature, contains_opaque
@@ -113,15 +113,13 @@ class JobService:
             from ..caching.manager import SparkCacheManager
 
             cache_manager = SparkCacheManager()
-        if service_config is None:
-            service_config = (
-                blaze_config.service if blaze_config is not None else ServiceConfig()
-            )
+        service_config = service_config or ServiceConfig()
+        blaze_config = blaze_config or BlazeConfig()
         self.config = cluster_config or ClusterConfig()
         self.service_config = service_config
         self.seed = int(seed)
         if tracer is None:
-            tracer = InMemoryTracer() if self.config.tracing_enabled else NULL_TRACER
+            tracer = NULL_TRACER
         self.tracer = tracer
         self.cluster = Cluster(self.config, tracer=tracer)
         self.cluster.tenancy = TenantRegistry(service_config.tenant_quotas)
@@ -129,30 +127,30 @@ class JobService:
         # Observability hub: must exist before the driver attaches the
         # cache manager (attach() binds the audit log from cluster.obs).
         # Pure reader — enabling it cannot change a trace or a decision.
-        obs_config = blaze_config.obs if blaze_config is not None else None
-        if obs_config is not None and obs_config.enabled:
+        obs_config = blaze_config.obs
+        if obs_config.enabled:
             from ..obs.hub import ObsHub
 
             self.cluster.obs = ObsHub(obs_config, self.cluster)
             self.cluster.obs.bind_service(self)
-        # Fault injection has a double opt-in: a schedule must be passed
-        # AND ``BlazeConfig.fault_injection`` (default off) flipped on.
+        # Each scenario layer is armed by its argument alone.  A fault
+        # schedule (even an empty one: calibration only) builds the injector.
         self.fault_injector: FaultInjector | None = None
-        if fault_schedule is not None and blaze_config is not None and blaze_config.fault_injection:
+        if fault_schedule is not None:
             self.fault_injector = FaultInjector(
                 fault_schedule, self.cluster, cache_manager,
                 max_task_retries=blaze_config.fault_max_task_retries,
                 retry_backoff_seconds=FAULT_RETRY_BACKOFF_SECONDS,
             )
-        # Elastic fleets + the remote-memory tier (``repro.elastic``) have
-        # the same double opt-in: a scale schedule must be passed AND
-        # ``BlazeConfig.elastic.enabled`` (default off) flipped on.  The
-        # remote tier rides the flag alone — it also serves fixed fleets.
+        # A scale schedule builds the remote-memory tier (``repro.elastic``);
+        # an empty one keeps the fleet fixed, a non-empty one also builds the
+        # fleet controller.  The cache manager attaches after this and
+        # prices the tier the cluster has.
         self.fleet_controller = None
-        elastic = blaze_config.elastic if blaze_config is not None else None
-        if elastic is not None and elastic.enabled:
+        if scale_schedule is not None:
+            elastic = blaze_config.elastic
             self.cluster.enable_remote_tier(elastic.remote_memory)
-            if scale_schedule is not None and len(scale_schedule):
+            if len(scale_schedule):
                 from ..elastic.controller import FleetController
 
                 self.fleet_controller = FleetController(
@@ -168,7 +166,7 @@ class JobService:
         #: process keeps the authoritative clock/cache/trace.  Kill switch
         #: ``BlazeConfig.sharded_engine`` defaults off.
         self.shard_coordinator = None
-        if blaze_config is not None and blaze_config.sharded_engine:
+        if blaze_config.sharded_engine:
             from ..shard.coordinator import ShardCoordinator
 
             self.shard_coordinator = ShardCoordinator(self.driver, blaze_config)

@@ -47,10 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.profiler import LineageProfile
 
 #: BlazeConfig field names accepted as ``make_system`` overrides for
-#: blaze-kind systems.  This includes the fault-injection knobs
-#: (``fault_injection``, ``fault_max_task_retries``), so e.g.
-#: ``make_system("blaze", fault_injection=True)`` arms a preset for a
-#: faulted run without a hand-built BlazeConfig.
+#: blaze-kind systems, e.g. ``make_system("blaze", fault_max_task_retries=2)``.
+#: Anything else raises :class:`ConfigError`; a faulted run is armed by
+#: the ``fault_schedule`` passed to the context, not by the preset.
 _BLAZE_FIELDS = frozenset(f.name for f in dataclasses.fields(BlazeConfig))
 
 

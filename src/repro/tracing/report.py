@@ -136,8 +136,8 @@ class RunReport:
     #: ``BlazeConfig.sharded_engine`` off
     shard_counters: dict[str, int] = field(default_factory=dict)
     #: elastic-fleet / remote-tier counters (``repro.elastic``) — see
-    #: ``MetricsCollector.elastic_counters``; all zero with
-    #: ``BlazeConfig.elastic`` off
+    #: ``MetricsCollector.elastic_counters``; all zero without
+    #: a ``scale_schedule``
     elastic_counters: dict[str, float] = field(default_factory=dict)
     #: decision audit log (``repro.obs``); empty unless ``obs.enabled``
     audit_entries: tuple["AuditEntry", ...] = field(default_factory=tuple)

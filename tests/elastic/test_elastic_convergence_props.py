@@ -11,8 +11,7 @@ A separate parametrized sweep drives every system preset through one
 forced 4-event schedule (scale-up, scale-down, a spot preemption, and a
 second scale-up) on the registry PageRank workload and checks convergence
 plus nonzero scale counters — the acceptance gate of the elastic layer.
-The kill switch is pinned both ways: a schedule passed to a context with
-``BlazeConfig.elastic`` down must leave every elastic counter at zero.
+The schedule is the only switch: the sweep passes nothing else.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.caching.manager import SparkCacheManager
 from repro.caching.storage_level import StorageMode
-from repro.config import BlazeConfig, ClusterConfig, DiskConfig, ElasticConfig, GiB, MiB
+from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, MiB
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
 from repro.elastic import ScaleSchedule, ScaleSpec
@@ -55,16 +54,14 @@ def _manager(system: str, bcfg: BlazeConfig):
     return make_system(system).build(profile=None, blaze_config=bcfg)
 
 
-def _run_program(system, steps, data, width, seed, schedule, elastic=None):
+def _run_program(system, steps, data, width, seed, schedule):
     """Run the random DAG (two passes) and snapshot every observable.
 
     ``schedule=None`` is the fixed-fleet oracle.  Memory is generous (no
     pressure) so capacity decisions cannot differ for legitimate reasons:
     any divergence in admissions or evictions is an elastic-layer bug.
     """
-    if elastic is None:
-        elastic = schedule is not None
-    bcfg = BlazeConfig(elastic=ElasticConfig(enabled=elastic))
+    bcfg = BlazeConfig()
     tracer = InMemoryTracer()
     ctx = BlazeContext(
         ClusterConfig(
@@ -156,32 +153,6 @@ def test_elastic_run_converges_to_fixed_fleet_oracle(
     assert repeat["elastic_counters"] == elastic["elastic_counters"]
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    system=_systems,
-    steps=_steps,
-    data=_data,
-    width=_widths,
-    seed=_seeds,
-    scale_seed=_scale_seeds,
-)
-def test_kill_switch_down_makes_schedule_inert(
-    system, steps, data, width, seed, scale_seed
-):
-    """A schedule without ``BlazeConfig.elastic`` is invisible: the trace
-    is byte-identical to the scheduleless run and every counter is zero."""
-    clean = _run_program(system, steps, data, width, seed, None, elastic=False)
-    schedule = ScaleSchedule.seeded(
-        scale_seed, horizon_seconds=0.5, num_executors=2, num_events=3
-    )
-    inert = _run_program(system, steps, data, width, seed, schedule, elastic=False)
-    assert inert["trace"] == clean["trace"]
-    assert inert["partitions"] == clean["partitions"]
-    assert all(v == 0 for v in inert["elastic_counters"].values()), (
-        inert["elastic_counters"]
-    )
-
-
 # ----------------------------------------------------------------------
 # Acceptance sweep: every preset converges under a forced schedule
 # ----------------------------------------------------------------------
@@ -217,7 +188,6 @@ def test_every_preset_converges_under_elastic_fleet(system):
         _pr_workload(),
         scale="tiny",
         seed=1,
-        blaze_config=BlazeConfig(elastic=ElasticConfig(enabled=True)),
         scale_schedule=schedule,
     )
     assert (

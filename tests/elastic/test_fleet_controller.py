@@ -23,7 +23,7 @@ from repro.storage.columnar import DISK_CODEC, MEMORY_CODEC, ColumnarBatch
 
 
 def _ctx(num_executors=3, memory_mb=256, **elastic_kwargs):
-    elastic = ElasticConfig(enabled=True, **elastic_kwargs)
+    elastic = ElasticConfig(**elastic_kwargs)
     bcfg = BlazeConfig(
         autocache_enabled=False, ilp_enabled=False, elastic=elastic
     )
@@ -36,6 +36,7 @@ def _ctx(num_executors=3, memory_mb=256, **elastic_kwargs):
         ),
         BlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
+        scale_schedule=ScaleSchedule(),  # the pool; the tests drive the fleet
     )
     ctx._elastic = elastic
     return ctx
@@ -207,4 +208,23 @@ def test_parked_executor_is_reused_before_fresh_provisioning():
     # The parked id rejoins; no fresh executor is provisioned.
     assert ctx.cluster.active_ids == [0, 1, 2]
     assert len(ctx.cluster.executors) == 3
+    ctx.stop()
+
+
+def test_schedule_alone_scales_the_fleet():
+    """No config field has to agree: a non-empty schedule scales the fleet."""
+    ctx = BlazeContext(
+        ClusterConfig(
+            num_executors=2,
+            slots_per_executor=2,
+            memory_store_bytes=256 * MiB,
+            disk=DiskConfig(capacity_bytes=10 * GiB),
+        ),
+        BlazeCacheManager(config=BlazeConfig()),
+        scale_schedule=ScaleSchedule((ScaleSpec(0.0, "scale_up", count=1),)),
+    )
+    assert ctx.cluster.remote_store is not None
+    _cache_some(ctx)
+    assert ctx.report().elastic_counters["scale_events"] > 0
+    assert ctx.cluster.active_ids == [0, 1, 2]
     ctx.stop()

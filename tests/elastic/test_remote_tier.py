@@ -17,6 +17,7 @@ from repro.config import (
 from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
+from repro.elastic import ScaleSchedule
 from repro.errors import StorageError
 from repro.metrics.collector import TaskMetrics
 
@@ -25,9 +26,7 @@ def _elastic_bcfg(**remote_kwargs) -> BlazeConfig:
     return BlazeConfig(
         autocache_enabled=False,
         ilp_enabled=False,
-        elastic=ElasticConfig(
-            enabled=True, remote_memory=RemoteMemoryConfig(**remote_kwargs)
-        ),
+        elastic=ElasticConfig(remote_memory=RemoteMemoryConfig(**remote_kwargs)),
     )
 
 
@@ -42,6 +41,7 @@ def _ctx(memory_mb: float = 512, **remote_kwargs) -> BlazeContext:
         ),
         BlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
+        scale_schedule=ScaleSchedule(),  # a fixed fleet with the pool
     )
 
 
@@ -180,6 +180,36 @@ def test_cost_model_prices_remote_between_memory_and_disk():
     ctx.stop()
 
 
+def test_manager_prices_the_tier_the_cluster_has():
+    """Only the cluster says which tiers exist: a manager built from a plain
+    ``BlazeConfig`` on a context with the pool prices the pool."""
+    ctx = BlazeContext(
+        ClusterConfig(
+            num_executors=2, slots_per_executor=2,
+            memory_store_bytes=512 * MiB, disk=DiskConfig(capacity_bytes=10 * GiB),
+        ),
+        BlazeCacheManager(config=BlazeConfig()),
+        scale_schedule=ScaleSchedule(),
+    )
+    manager = ctx.cache_manager
+    data = ctx.parallelize(
+        list(range(32)), 2,
+        op_cost=OpCost(per_element_out=1e-2),
+        size_model=SizeModel(bytes_per_element=0.5 * MiB),
+    )
+    data.cache()
+    data.collect()
+    executor = ctx.cluster.executors[0]
+    block = next(b for b in executor.bm.memory.blocks() if b.rdd_id == data.rdd_id)
+    assert executor.bm.demote_to_remote(block.block_id, TaskMetrics()) is block
+    rdd_id, split = block.block_id
+    cm = manager.cost_model
+    expected = cm.cost_remote(rdd_id, split)
+    assert manager.predicted_recovery_cost(rdd_id, split, "remote") == expected
+    assert cm.recovery_cost(rdd_id, split, manager._state_of) == expected
+    ctx.stop()
+
+
 def test_engine_reads_back_from_remote_tier():
     """A cached partition demoted to the remote tier cache-hits from there
     on the next pass (``cache.hit_remote``) instead of recomputing."""
@@ -195,6 +225,7 @@ def test_engine_reads_back_from_remote_tier():
         BlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
         tracer=tracer,
+        scale_schedule=ScaleSchedule(),
     )
     data = ctx.parallelize(
         list(range(40)), 4,

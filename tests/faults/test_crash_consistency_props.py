@@ -59,7 +59,7 @@ def _run_program(system, steps, data, width, seed, schedule):
     pressure) so capacity decisions cannot differ for legitimate reasons:
     any divergence in admissions or evictions is a fault-layer bug.
     """
-    bcfg = BlazeConfig(fault_injection=schedule is not None)
+    bcfg = BlazeConfig()
     tracer = InMemoryTracer()
     ctx = BlazeContext(
         ClusterConfig(
@@ -185,7 +185,6 @@ def test_every_preset_converges_under_faults(system):
         _pr_workload(),
         scale="tiny",
         seed=1,
-        blaze_config=BlazeConfig(fault_injection=True),
         fault_schedule=schedule,
     )
     assert (

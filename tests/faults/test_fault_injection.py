@@ -1,7 +1,7 @@
 """Behavioral tests for the ``repro.faults`` layer.
 
-Covers the schedule format, the kill switch (schedules are inert unless
-``BlazeConfig.fault_injection`` is on), each fault kind's recovery path,
+Covers the schedule format, the switch (a passed schedule alone arms the
+injector, no schedule builds none), each fault kind's recovery path,
 bounded retries, and the fused data plane's was-cached guard surviving
 mid-chain loss.
 """
@@ -16,7 +16,7 @@ from repro.config import BlazeConfig
 from repro.errors import ConfigError, FaultError
 from repro.faults import FAULT_KINDS, FaultSchedule, FaultSpec
 from repro.systems.presets import make_system
-from repro.tracing import InMemoryTracer, to_jsonl
+from repro.tracing import InMemoryTracer
 
 from conftest import make_cluster_config
 from repro.dataflow.context import BlazeContext
@@ -26,13 +26,12 @@ def _fault_ctx(
     schedule: FaultSchedule | None,
     *,
     system: str = "spark",
-    fault_injection: bool = True,
     tracer: InMemoryTracer | None = None,
     seed: int = 0,
     memory_mb: float = 512,
     **blaze_kwargs,
 ) -> BlazeContext:
-    bcfg = BlazeConfig(fault_injection=fault_injection, **blaze_kwargs)
+    bcfg = BlazeConfig(**blaze_kwargs)
     if system == "spark":
         manager = SparkCacheManager(StorageMode.MEM_AND_DISK, "lru")
     else:
@@ -70,7 +69,7 @@ def _clean_makespan() -> float:
     """Virtual makespan of the fault-free 4-round job (memoized)."""
     global _MAKESPAN
     if _MAKESPAN is None:
-        ctx = _fault_ctx(None, fault_injection=False)
+        ctx = _fault_ctx(None)
         _iterative_job(ctx, rounds=4)
         _MAKESPAN = ctx.now
         ctx.stop()
@@ -118,37 +117,34 @@ def test_clamped_to_normalizes_executor_ids():
 
 
 # ----------------------------------------------------------------------
-# Kill switch
+# The schedule is the switch
 # ----------------------------------------------------------------------
-def test_schedule_without_flag_is_inert():
-    """A schedule passed with ``fault_injection=False`` must change nothing."""
+def test_schedule_alone_arms_the_injector():
+    """No config field has to agree: a one-crash schedule injects."""
     sched = FaultSchedule((FaultSpec(0.0, "executor_crash", executor_id=0),))
-
-    def run(schedule):
-        tracer = InMemoryTracer()
-        ctx = _fault_ctx(schedule, fault_injection=False, tracer=tracer)
-        results = _iterative_job(ctx)
-        ctx.stop()
-        return results, to_jsonl(tracer.events), ctx.report().fault_counters
-
-    with_sched = run(sched)
-    without = run(None)
-    assert with_sched == without
-    assert with_sched[2]["faults_injected"] == 0
+    ctx = BlazeContext(
+        make_cluster_config(memory_mb=512),
+        SparkCacheManager(StorageMode.MEM_AND_DISK, "lru"),
+        fault_schedule=sched,
+    )
+    assert ctx.fault_injector.max_task_retries == BlazeConfig().fault_max_task_retries
+    _iterative_job(ctx)
+    assert ctx.report().fault_counters["faults_injected"] > 0
+    ctx.stop()
 
 
 def test_flag_without_schedule_builds_no_injector():
-    ctx = _fault_ctx(None, fault_injection=True)
+    ctx = _fault_ctx(None)
     assert ctx.fault_injector is None
     ctx.stop()
 
 
 def test_empty_schedule_is_calibration_only():
-    """Flag on + empty schedule arms the injector but injects nothing."""
+    """An empty schedule arms the injector but injects nothing."""
     ctx = _fault_ctx(FaultSchedule())
     assert ctx.fault_injector is not None
     results = _iterative_job(ctx)
-    clean = _iterative_job(_fault_ctx(None, fault_injection=False))
+    clean = _iterative_job(_fault_ctx(None))
     assert results == clean
     assert ctx.report().fault_counters["faults_injected"] == 0
 
@@ -160,7 +156,7 @@ def test_fetch_failure_reattempts_and_resubmits():
     sched = FaultSchedule((FaultSpec(0.0, "fetch_failure", pick=1),))
     ctx = _fault_ctx(sched)
     results = _iterative_job(ctx)
-    clean = _iterative_job(_fault_ctx(None, fault_injection=False))
+    clean = _iterative_job(_fault_ctx(None))
     assert results == clean
     fc = ctx.report().fault_counters
     assert fc["fetch_failures"] == 1
@@ -178,7 +174,7 @@ def test_executor_crash_loses_and_recovers_blocks():
     tracer = InMemoryTracer()
     ctx = _fault_ctx(sched, tracer=tracer)
     results = _iterative_job(ctx, rounds=4)
-    clean = _iterative_job(_fault_ctx(None, fault_injection=False))
+    clean = _iterative_job(_fault_ctx(None))
     assert results[:3] == clean
     fc = ctx.report().fault_counters
     assert fc["executor_crashes"] == 1
@@ -198,7 +194,7 @@ def test_block_loss_targets_resident_block():
     )
     ctx = _fault_ctx(sched)
     results = _iterative_job(ctx, rounds=4)
-    clean = _iterative_job(_fault_ctx(None, fault_injection=False), rounds=4)
+    clean = _iterative_job(_fault_ctx(None), rounds=4)
     assert results == clean
     fc = ctx.report().fault_counters
     assert fc["blocks_lost"] == 1
@@ -208,7 +204,7 @@ def test_block_loss_misses_gracefully_when_nothing_resident():
     sched = FaultSchedule((FaultSpec(0.0, "block_loss", rdd_id=999, split=0),))
     ctx = _fault_ctx(sched)
     results = _iterative_job(ctx)
-    clean = _iterative_job(_fault_ctx(None, fault_injection=False))
+    clean = _iterative_job(_fault_ctx(None))
     assert results == clean
     assert ctx.report().fault_counters["blocks_lost"] == 0
 
@@ -219,7 +215,7 @@ def test_straggler_stretches_makespan_without_changing_results():
     )
     slow = _fault_ctx(sched)
     results = _iterative_job(slow)
-    clean_ctx = _fault_ctx(None, fault_injection=False)
+    clean_ctx = _fault_ctx(None)
     clean = _iterative_job(clean_ctx)
     assert results == clean
     fc = slow.report().fault_counters
@@ -246,7 +242,7 @@ def test_crash_mid_task_wastes_attempt_time():
     )
     ctx = _fault_ctx(sched)
     results = _iterative_job(ctx)
-    clean = _iterative_job(_fault_ctx(None, fault_injection=False))
+    clean = _iterative_job(_fault_ctx(None))
     assert results == clean
     fc = ctx.report().fault_counters
     assert fc["executor_crashes"] == 1

@@ -32,9 +32,7 @@ CHAIN_TOL = 0.05
 def _blaze_ctx(memory_mb: float = 512) -> BlazeContext:
     # Annotation-driven candidates and no ILP keep the scenarios exactly
     # as constructed (no auto-caching of intermediates, no migrations).
-    bcfg = BlazeConfig(
-        autocache_enabled=False, ilp_enabled=False, fault_injection=True
-    )
+    bcfg = BlazeConfig(autocache_enabled=False, ilp_enabled=False)
     return BlazeContext(
         make_cluster_config(memory_mb=memory_mb),
         BlazeCacheManager(config=bcfg),
@@ -145,19 +143,15 @@ def test_deep_lineage_recovery_within_declared_tolerance():
 # place in Eq. 4's parent recursion calibrate like the disk tier does.
 # ----------------------------------------------------------------------
 def _elastic_blaze_ctx(memory_mb: float = 512) -> BlazeContext:
-    from repro.config import ElasticConfig
+    from repro.elastic import ScaleSchedule
 
-    bcfg = BlazeConfig(
-        autocache_enabled=False,
-        ilp_enabled=False,
-        fault_injection=True,
-        elastic=ElasticConfig(enabled=True),
-    )
+    bcfg = BlazeConfig(autocache_enabled=False, ilp_enabled=False)
     return BlazeContext(
         make_cluster_config(memory_mb=memory_mb),
         BlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
         fault_schedule=FaultSchedule(),  # calibration-only: nothing injected
+        scale_schedule=ScaleSchedule(),  # a fixed fleet with the pool
     )
 
 

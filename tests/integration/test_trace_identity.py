@@ -27,7 +27,6 @@ from repro.config import (
     BlazeConfig,
     ClusterConfig,
     DiskConfig,
-    ElasticConfig,
     GiB,
     MiB,
     ObsConfig,
@@ -62,15 +61,12 @@ def _trace(system: str,
            require_evictions: bool = True,
            min_kernel_partitions: int = 0,
            sharded: bool = False,
-           scale_schedule: ScaleSchedule | None = None,
-           elastic: bool | None = None) -> str:
+           scale_schedule: ScaleSchedule | None = None) -> str:
     wl = replace_params(
         make_workload(workload, "tiny"),
         num_partitions=24,
         **(workload_overrides or {}),
     )
-    if elastic is None:
-        elastic = scale_schedule is not None
     tracer = InMemoryTracer()
     result = run_experiment(
         system,
@@ -79,10 +75,8 @@ def _trace(system: str,
         seed=SEED,
         cluster_config=_pressure_cluster(),
         blaze_config=BlazeConfig(
-            fault_injection=schedule is not None,
             obs=ObsConfig(enabled=obs),
             sharded_engine=sharded, num_shards=2,
-            elastic=ElasticConfig(enabled=elastic),
         ),
         tracer=tracer,
         fault_schedule=schedule,
@@ -94,7 +88,7 @@ def _trace(system: str,
     assert kernel_partitions >= min_kernel_partitions, "kernels must engage"
     if schedule is not None:
         assert result.report.fault_counters["faults_injected"] > 0
-    if scale_schedule is not None and elastic:
+    if scale_schedule is not None:
         assert result.report.elastic_counters["scale_events"] > 0
     return to_jsonl(tracer.events)
 
@@ -439,15 +433,6 @@ def test_elastic_faulted_sharded_trace_is_deterministic(system):
     assert _trace(system, **kwargs) == _trace(system, **kwargs)
 
 
-# Kill-switch discipline: a scale schedule handed to a run with
-# ``BlazeConfig.elastic`` down must be invisible in the JSONL.
-@pytest.mark.parametrize("system", ["blaze", "spark_mem_disk"])
-def test_scale_schedule_without_flag_is_byte_identical(system):
-    assert _trace(system) == _trace(
-        system, scale_schedule=_scale_schedule(), elastic=False
-    )
-
-
 # Multi-tenant service runs on an elastic fleet replay deterministically
 # too: two tenants, interleaved jobs, the forced schedule, repeated twice.
 def test_elastic_service_trace_is_deterministic_across_repeats():
@@ -478,7 +463,6 @@ def test_elastic_service_trace_is_deterministic_across_repeats():
             SparkCacheManager(StorageMode.MEM_AND_DISK, "lru"),
             seed=SEED,
             tracer=tracer,
-            blaze_config=BlazeConfig(elastic=ElasticConfig(enabled=True)),
             scale_schedule=schedule,
         )
         try:

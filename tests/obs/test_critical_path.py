@@ -20,7 +20,7 @@ from repro.config import (
 from repro.experiments.runner import run_experiment
 from repro.obs.critical_path import BUCKETS, analyze_critical_paths
 from repro.service import JobService
-from repro.tracing import TraceEvent
+from repro.tracing import InMemoryTracer, TraceEvent
 from repro.workloads.base import replace_params
 from repro.workloads.registry import make_workload
 
@@ -35,9 +35,9 @@ def _pressure_report():
             num_executors=2, slots_per_executor=2,
             memory_store_bytes=24 * MiB,
             disk=DiskConfig(capacity_bytes=5 * GiB),
-            tracing_enabled=True,
         ),
         blaze_config=BlazeConfig(obs=ObsConfig(enabled=True)),
+        tracer=InMemoryTracer(),
     )
     assert result.eviction_count > 0
     return result.report
@@ -152,10 +152,11 @@ def _iterative_app(client):
 def test_attribution_sums_on_a_multi_tenant_service_run():
     config = ClusterConfig(
         num_executors=2, slots_per_executor=2,
-        memory_store_bytes=256 * MiB, tracing_enabled=True,
+        memory_store_bytes=256 * MiB,
     )
     with JobService(
-        config, blaze_config=BlazeConfig(obs=ObsConfig(enabled=True))
+        config, tracer=InMemoryTracer(),
+        blaze_config=BlazeConfig(obs=ObsConfig(enabled=True)),
     ) as service:
         h1 = service.submit(_iterative_app, tenant="alice", arrival_time=0.0)
         h2 = service.submit(_iterative_app, tenant="bob", arrival_time=0.0)

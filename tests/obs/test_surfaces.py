@@ -7,6 +7,7 @@ import pytest
 from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, MiB, ObsConfig
 from repro.experiments.runner import run_experiment
 from repro.obs import render_dashboard_html
+from repro.tracing import InMemoryTracer
 from repro.workloads.base import replace_params
 from repro.workloads.registry import make_workload
 
@@ -20,9 +21,9 @@ def report():
             num_executors=2, slots_per_executor=2,
             memory_store_bytes=24 * MiB,
             disk=DiskConfig(capacity_bytes=5 * GiB),
-            tracing_enabled=True,
         ),
         blaze_config=BlazeConfig(obs=ObsConfig(enabled=True)),
+        tracer=InMemoryTracer(),
     )
     assert result.eviction_count > 0
     return result.report

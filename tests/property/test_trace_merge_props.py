@@ -37,7 +37,7 @@ def _run(sharded: bool) -> InMemoryTracer:
     tracer = InMemoryTracer()
     ctx = BlazeContext(
         cluster_config=ClusterConfig(
-            num_executors=4, tracing_enabled=True, memory_store_bytes=150_000
+            num_executors=4, memory_store_bytes=150_000
         ),
         blaze_config=BlazeConfig(sharded_engine=sharded, num_shards=3),
         seed=SEED,

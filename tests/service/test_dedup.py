@@ -15,19 +15,20 @@ from repro.config import ClusterConfig, MiB, ServiceConfig
 from repro.dataflow.operators import SizeModel
 from repro.service import JobService
 from repro.service.identity import OPAQUE, fn_token, value_token
+from repro.tracing import InMemoryTracer
 
 
-def _cluster(tracing: bool = False) -> ClusterConfig:
+def _cluster() -> ClusterConfig:
     return ClusterConfig(
         num_executors=2, slots_per_executor=2, memory_store_bytes=256 * MiB,
-        tracing_enabled=tracing,
     )
 
 
 def _service(dedup: bool = True, tracing: bool = False) -> JobService:
     return JobService(
-        _cluster(tracing),
+        _cluster(),
         SparkCacheManager(StorageMode.MEM_ONLY, "lru"),
+        tracer=InMemoryTracer() if tracing else None,
         service_config=ServiceConfig(dedup_enabled=dedup),
     )
 

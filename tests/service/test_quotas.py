@@ -30,7 +30,6 @@ def _cluster(memory_mb: int = 64) -> ClusterConfig:
     return ClusterConfig(
         num_executors=1, slots_per_executor=2,
         memory_store_bytes=memory_mb * MiB,
-        tracing_enabled=True,
     )
 
 
@@ -38,6 +37,7 @@ def _quota_service(quotas: dict[str, float], mode=StorageMode.MEM_ONLY) -> JobSe
     return JobService(
         _cluster(),
         SparkCacheManager(mode, "lru"),
+        tracer=InMemoryTracer(),
         service_config=ServiceConfig(tenant_quotas=quotas, dedup_enabled=False),
     )
 
@@ -137,6 +137,7 @@ def test_unquoted_tenants_are_unlimited():
 def test_empty_quota_map_is_fully_inert():
     with JobService(
         _cluster(), SparkCacheManager(StorageMode.MEM_ONLY, "lru"),
+        tracer=InMemoryTracer(),
         service_config=ServiceConfig(dedup_enabled=False),
     ) as service:
         a = service.session(tenant="a")
@@ -227,6 +228,7 @@ def _blaze_service(quotas: dict[str, float]) -> JobService:
     return JobService(
         _cluster(),
         BlazeCacheManager(config=bcfg),
+        tracer=InMemoryTracer(),
         blaze_config=bcfg,
         service_config=ServiceConfig(tenant_quotas=quotas, dedup_enabled=False),
     )
@@ -294,7 +296,7 @@ def test_blaze_protected_blocks_are_no_victims_of_an_over_quota_insert():
     """
     manager = make_system("autocache").build()
     with JobService(
-        _cluster(), manager, blaze_config=manager.config,
+        _cluster(), manager, tracer=InMemoryTracer(), blaze_config=manager.config,
         service_config=ServiceConfig(
             tenant_quotas={"a": 16 * MiB, "b": 64 * MiB}, dedup_enabled=False
         ),

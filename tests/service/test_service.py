@@ -11,10 +11,9 @@ from repro.service.service import SERVICE_PID
 from repro.tracing import InMemoryTracer, to_jsonl
 
 
-def _cluster(tracing: bool = False) -> ClusterConfig:
+def _cluster() -> ClusterConfig:
     return ClusterConfig(
         num_executors=2, slots_per_executor=2, memory_store_bytes=256 * MiB,
-        tracing_enabled=tracing,
     )
 
 

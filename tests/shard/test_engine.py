@@ -13,18 +13,19 @@ import pytest
 
 from repro.config import BlazeConfig, ClusterConfig, ConfigError
 from repro.dataflow.context import BlazeContext
+from repro.tracing import InMemoryTracer
 
 SEED = 3
 
 
 def _run(sharded: bool, transport: str = "local", num_shards: int = 3):
-    cc = ClusterConfig(
-        num_executors=4, tracing_enabled=True, memory_store_bytes=200_000
-    )
+    cc = ClusterConfig(num_executors=4, memory_store_bytes=200_000)
     bc = BlazeConfig(
         sharded_engine=sharded, num_shards=num_shards, shard_transport=transport
     )
-    ctx = BlazeContext(cluster_config=cc, blaze_config=bc, seed=SEED)
+    ctx = BlazeContext(
+        cluster_config=cc, blaze_config=bc, seed=SEED, tracer=InMemoryTracer()
+    )
     src = ctx.source(lambda s, rng: [(i % 50, i * s) for i in range(400)], 16)
     base = src.map(lambda x: (x[0], x[1] * 2)).cache()
     for _ in range(3):

@@ -30,7 +30,6 @@ def _service_run(sharded: bool, transport: str = "local"):
     tracer = InMemoryTracer()
     config = ClusterConfig(
         num_executors=4, slots_per_executor=2, memory_store_bytes=8 * MiB,
-        tracing_enabled=True,
     )
     bcfg = BlazeConfig(
         sharded_engine=sharded, num_shards=3, shard_transport=transport

@@ -81,12 +81,10 @@ def test_config_surface_is_pinned():
         "ilp_enabled",
         "admission_enabled",
         "disk_enabled",
-        "fault_injection",
         "fault_max_task_retries",
         "sharded_engine",
         "num_shards",
         "shard_transport",
-        "service",
         "obs",
         "elastic",
     ]
@@ -97,7 +95,6 @@ def test_config_surface_is_pinned():
         "disk",
         "network",
         "shuffle_retention_jobs",
-        "tracing_enabled",
     ]
     assert names(ObsConfig) == ["enabled", "sample_interval_seconds", "max_samples"]
     assert names(SizeModel) == ["bytes_per_element", "fixed_bytes", "ser_factor"]
@@ -118,7 +115,7 @@ def test_config_surface_is_pinned():
         "latency_seconds",
     ]
     assert names(ElasticConfig) == [
-        "enabled", "min_executors", "max_executors", "remote_memory",
+        "min_executors", "max_executors", "remote_memory",
     ]
     assert names(ServiceConfig) == [
         "arrival_process",

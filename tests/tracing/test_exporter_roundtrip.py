@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, MiB, ObsConfig
 from repro.experiments.runner import run_experiment
-from repro.tracing import from_jsonl, read_jsonl, to_chrome, to_jsonl, write_jsonl
+from repro.tracing import InMemoryTracer, from_jsonl, read_jsonl, to_chrome, to_jsonl, write_jsonl
 from repro.workloads.base import replace_params
 from repro.workloads.registry import make_workload
 
@@ -26,9 +26,9 @@ def run():
             num_executors=2, slots_per_executor=2,
             memory_store_bytes=24 * MiB,
             disk=DiskConfig(capacity_bytes=5 * GiB),
-            tracing_enabled=True,
         ),
         blaze_config=BlazeConfig(obs=ObsConfig(enabled=True)),
+        tracer=InMemoryTracer(),
     )
     assert result.report.events
     return result

@@ -104,14 +104,20 @@ def test_untraced_report_replay_is_empty():
 
 
 def test_cluster_config_tracing_flag_builds_tracer():
+    """The cluster config carries no tracing flag: ``tracer=`` is the switch."""
     config = ClusterConfig(
         num_executors=2,
         slots_per_executor=2,
         memory_store_bytes=64 * MiB,
         disk=DiskConfig(capacity_bytes=10 * GiB),
-        tracing_enabled=True,
     )
-    ctx = BlazeContext(config, make_system("spark_mem_disk").build(), seed=1)
+    untraced = BlazeContext(config, make_system("spark_mem_disk").build(), seed=1)
+    assert not untraced.tracer.enabled
+    untraced.stop()
+    ctx = BlazeContext(
+        config, make_system("spark_mem_disk").build(), seed=1,
+        tracer=InMemoryTracer(),
+    )
     assert ctx.tracer.enabled
     make_workload("pr", "tiny").run(ctx)
     report = ctx.report()
