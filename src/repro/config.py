@@ -159,19 +159,13 @@ class ServiceConfig:
 
     The service admits a seeded stream of applications over the virtual
     clock and interleaves their jobs on one shared executor fleet.  All
-    knobs reach it as ``JobService(service_config=...)``; the legacy
-    single-tenant ``BlazeContext`` path pins its own.
+    knobs reach it as ``JobService(service_config=...)``; a
+    ``BlazeContext`` is a one-tenant session with dedup off.
     """
 
-    # Arrival process for submitted application streams: "poisson" draws
-    # exponential inter-arrival gaps at ``arrival_rate_per_sec``;
-    # "diurnal" thins a Poisson stream against a sinusoidal rate profile
-    # with the given period and trough-to-peak ratio.
-    arrival_process: str = "poisson"
-    arrival_seed: int = 0
+    # Mean rate of the Poisson process that assigns arrival times to
+    # submissions without one; the gaps are drawn from the service seed.
     arrival_rate_per_sec: float = 1.0
-    diurnal_period_seconds: float = 60.0
-    diurnal_trough_ratio: float = 0.2
 
     # Inter-job scheduling policy: "fifo" grants pending job requests in
     # submission order; "fair" grants the tenant with the least consumed
@@ -181,9 +175,8 @@ class ServiceConfig:
 
     # Per-tenant memory-store quotas in bytes (aggregate across the
     # executor fleet).  Tenants absent from the mapping are unlimited.
-    # An empty mapping disables quota enforcement entirely, which keeps
-    # the single-tenant compatibility path byte-identical to the legacy
-    # engine.
+    # An empty mapping disables quota enforcement entirely, so a
+    # one-tenant session runs no fairness tiers.
     tenant_quotas: Mapping[str, float] = field(default_factory=dict)
 
     # Structural cross-application lineage dedup: identical lineage
@@ -193,22 +186,9 @@ class ServiceConfig:
     # path; the BlazeContext shim always runs with identity ids.
     dedup_enabled: bool = True
 
-    # Emit ``service.*`` trace instants (submission, grant, completion).
-    # Off by default so single-tenant traces stay byte-identical.
-    trace_service_events: bool = False
-
     def __post_init__(self) -> None:
-        if self.arrival_process not in ("poisson", "diurnal"):
-            raise ConfigError(
-                f"unknown arrival_process: {self.arrival_process!r} "
-                "(expected 'poisson' or 'diurnal')"
-            )
         if self.arrival_rate_per_sec <= 0:
             raise ConfigError("arrival_rate_per_sec must be positive")
-        if self.diurnal_period_seconds <= 0:
-            raise ConfigError("diurnal_period_seconds must be positive")
-        if not 0 < self.diurnal_trough_ratio <= 1:
-            raise ConfigError("diurnal_trough_ratio must be in (0, 1]")
         if self.inter_job_policy not in ("fifo", "fair"):
             raise ConfigError(
                 f"unknown inter_job_policy: {self.inter_job_policy!r} "
@@ -235,20 +215,9 @@ class ObsConfig:
     """
 
     # Master kill switch.  Off by default: the hot paths then carry only
-    # a ``None`` check per decision.
+    # a ``None`` check per decision.  The sampling interval and the series
+    # cap are constants of ``repro.obs.hub``.
     enabled: bool = False
-
-    # Fixed virtual-time interval between occupancy samples, and a cap on
-    # the number of samples retained (long service runs with sparse
-    # arrivals would otherwise grow the series without bound).
-    sample_interval_seconds: float = 1.0
-    max_samples: int = 50_000
-
-    def __post_init__(self) -> None:
-        if self.sample_interval_seconds <= 0:
-            raise ConfigError("sample_interval_seconds must be positive")
-        if self.max_samples <= 0:
-            raise ConfigError("max_samples must be positive")
 
 
 @dataclass(frozen=True)
@@ -268,18 +237,21 @@ class BlazeConfig:
     context arms each one — a ``fault_schedule`` the fault injector, a
     ``scale_schedule`` the remote tier and the elastic fleet, a
     ``tracer`` the trace, a ``service_config`` the job-service knobs
-    (docs/faults.md, docs/elasticity.md).
+    (docs/faults.md, docs/elasticity.md).  Neither does the profiling
+    phase: a manager built with a ``LineageProfile`` starts from it, one
+    built without learns the lineage on the run.
     """
 
-    # Dependency-extraction phase (section 5.1 / 7.5).
-    profiling_enabled: bool = True
+    # Dependency-extraction phase (section 5.1 / 7.5).  Whether it runs is
+    # the system's choice (``SystemSpec.needs_profile``).
     profiling_timeout_seconds: float = 10.0
     profiling_sample_fraction: float = 0.01
 
     # ILP (section 5.5): optimize partitions of the current job plus this
     # many upcoming jobs; the paper uses the current and the next job.
+    # The solver is branch-and-bound with the density-greedy answer as its
+    # fallback when the node budget runs out (``repro.core.ilp``).
     ilp_horizon_jobs: int = 2
-    ilp_backend: str = "exact"  # "exact" (branch and bound) or "greedy"
 
     # Automatic caching (section 5.6).
     autocache_enabled: bool = True
@@ -328,8 +300,6 @@ class BlazeConfig:
     def __post_init__(self) -> None:
         if self.ilp_horizon_jobs < 1:
             raise ConfigError("ilp_horizon_jobs must be >= 1")
-        if self.ilp_backend not in ("exact", "greedy"):
-            raise ConfigError(f"unknown ilp_backend: {self.ilp_backend!r}")
         if not 0 < self.profiling_sample_fraction <= 1:
             raise ConfigError("profiling_sample_fraction must be in (0, 1]")
         if self.fault_max_task_retries < 1:

@@ -6,7 +6,6 @@ costs of everything not kept in memory,
 
     minimize  sum_i (d_i * cost_d_i + u_i * cost_r_i) * weight_i
     s.t.      sum_i size_i * m_i <= memory_capacity
-              (optional) sum_i size_i * d_i <= disk_capacity
 
 With costs fixed per solve (the decision layer refreshes ``cost_r`` between
 refinement rounds), choosing the memory set reduces to a 0/1 knapsack that
@@ -15,7 +14,8 @@ each non-memory partition independently takes the cheaper of disk and
 recomputation.  The paper uses Gurobi; this module provides an exact
 branch-and-bound solver with the classic fractional-relaxation bound (which
 reproduces the optimum at the paper's problem sizes — a couple of jobs'
-partitions) plus a density-greedy fallback honoring the < 5 s budget.
+partitions).  Its starting incumbent is the density-greedy answer, which
+it returns when the node budget runs out, honoring the < 5 s budget.
 """
 
 from __future__ import annotations
@@ -63,16 +63,14 @@ class IlpSolution:
 def solve_partition_states(
     items: list[IlpItem],
     memory_capacity: float,
-    disk_capacity: float | None = None,
-    backend: str = "exact",
     node_budget: int = 200_000,
     observer=None,
 ) -> IlpSolution:
     """Solve Eq. 5-6 for the given partitions.
 
-    ``backend='exact'`` runs branch-and-bound (falling back to the greedy
-    incumbent if ``node_budget`` is exhausted); ``'greedy'`` uses
-    cost-density order directly.
+    Runs branch-and-bound from the density-greedy incumbent; past
+    ``node_budget`` branch nodes it returns the best set found so far
+    (``optimal=False``), so ``node_budget=0`` yields the greedy answer.
 
     ``observer``, when given, is called as ``observer(items, solution)``
     right before returning — the decision audit log hooks in here.  It
@@ -91,67 +89,32 @@ def solve_partition_states(
     # exactly once per solve (keys are unique block ids).
     savings = {item.key: item.mem_saving for item in items}
 
-    if backend == "exact":
-        chosen, nodes, optimal = _knapsack_branch_and_bound(
-            items, memory_capacity, node_budget, savings
-        )
-    elif backend == "greedy":
-        chosen = _knapsack_greedy(items, memory_capacity, savings)
-        nodes, optimal = 0, False
-    else:
-        raise SolverError(f"unknown ILP backend {backend!r}")
+    chosen, nodes, optimal = _knapsack_branch_and_bound(
+        items, memory_capacity, node_budget, savings
+    )
 
+    # Each partition left out of memory takes the cheaper of disk and
+    # recomputation; disk is unbounded.  The disk residual is summed on its
+    # own and added last, which fixes the float rounding of the objective.
     states: dict[Hashable, PartitionState] = {}
-    residual = 0.0
-    spill_candidates: list[IlpItem] = []
+    residual = disk_residual = 0.0
     for item in items:
         if item.key in chosen:
             states[item.key] = "mem"
         elif item.off_memory_state == "disk":
-            spill_candidates.append(item)
+            states[item.key] = "disk"
+            disk_residual += item.cost_d * item.weight
         else:
             states[item.key] = "gone"
             residual += item.cost_r * item.weight
+    residual += disk_residual
 
-    residual += _assign_disk_states(spill_candidates, disk_capacity, states)
     solution = IlpSolution(
         states=states, objective=residual, optimal=optimal, nodes_explored=nodes
     )
     if observer is not None:
         observer(items, solution)
     return solution
-
-
-def _assign_disk_states(
-    candidates: list[IlpItem],
-    disk_capacity: float | None,
-    states: dict[Hashable, PartitionState],
-) -> float:
-    """Place disk-preferring items, demoting overflow to ``gone``.
-
-    With bounded disk, items keep their disk slot in order of the *regret*
-    of losing it (cost_r - cost_d per byte), a second greedy knapsack.
-    """
-    residual = 0.0
-    if disk_capacity is None:
-        for item in candidates:
-            states[item.key] = "disk"
-            residual += item.cost_d * item.weight
-        return residual
-
-    def regret_density(item: IlpItem) -> float:
-        return (item.cost_r - item.cost_d) * item.weight / item.size_bytes
-
-    used = 0.0
-    for item in sorted(candidates, key=regret_density, reverse=True):
-        if used + item.size_bytes <= disk_capacity:
-            states[item.key] = "disk"
-            used += item.size_bytes
-            residual += item.cost_d * item.weight
-        else:
-            states[item.key] = "gone"
-            residual += item.cost_r * item.weight
-    return residual
 
 
 # ----------------------------------------------------------------------

@@ -79,7 +79,7 @@ class BlazeCacheManager(CacheManager):
             return "blaze[+costaware]"
         if not cfg.disk_enabled:
             return "blaze[mem-only]"
-        if not cfg.profiling_enabled:
+        if self.profile is None:
             return "blaze[no-profiling]"
         return "blaze"
 
@@ -683,8 +683,7 @@ class BlazeCacheManager(CacheManager):
                     else None
                 )
                 solution = solve_partition_states(
-                    items, capacity, backend=cfg.ilp_backend,
-                    observer=observer,
+                    items, capacity, observer=observer
                 )
                 self.cluster.metrics.ilp_solves += 1
                 self.cluster.metrics.ilp_nodes += solution.nodes_explored

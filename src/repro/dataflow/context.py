@@ -39,8 +39,8 @@ class BlazeContext(JobClient):
     ) -> None:
         # Identity RDD ids (dedup off): with one application there is
         # nothing to share, and sequential ids keep the legacy numbering
-        # without fingerprinting overhead.  No service trace events, so
-        # the trace stream matches the pre-service engine byte for byte.
+        # without fingerprinting overhead.  The context is a session, not
+        # a submission, so its trace carries no ``service.*`` instants.
         service_config = ServiceConfig(dedup_enabled=False)
         service = JobService(
             cluster_config=cluster_config,

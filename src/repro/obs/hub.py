@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..config import ObsConfig
 from .audit import DecisionAudit
 from .sampler import OccupancySampler
 
@@ -23,18 +22,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: admission/eviction/ILP entries are retained.
 AUDIT_RING_SIZE = 4096
 
+#: The occupancy sampler stamps one sample per ``SAMPLE_INTERVAL_SECONDS``
+#: of virtual time and keeps at most ``MAX_SAMPLES`` of them (long service
+#: runs with sparse arrivals would otherwise grow the series without bound).
+SAMPLE_INTERVAL_SECONDS = 1.0
+MAX_SAMPLES = 50_000
+
 
 class ObsHub:
     """Bundles the audit log and the sampler for one cluster run."""
 
-    def __init__(self, config: ObsConfig, cluster: "Cluster") -> None:
-        self.config = config
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
         self.audit = DecisionAudit(ring_size=AUDIT_RING_SIZE)
         self.sampler = OccupancySampler(
             cluster,
-            interval_seconds=config.sample_interval_seconds,
-            max_samples=config.max_samples,
+            interval_seconds=SAMPLE_INTERVAL_SECONDS,
+            max_samples=MAX_SAMPLES,
         )
         cluster.clock.add_listener(self.sampler.on_advance)
 

@@ -1,17 +1,14 @@
-"""Seeded application arrival processes over the virtual clock.
+"""The seeded application arrival process over the virtual clock.
 
-The service admits applications at times drawn from one of these
-processes.  Both are deterministic functions of the seed (via the
-repo-wide spawn-key RNG discipline), so the same configuration always
+Submissions without an explicit arrival time are admitted at times drawn
+from this process.  It is a deterministic function of the service seed
+(via the repo-wide spawn-key RNG discipline), so the same seed always
 produces the same arrival schedule — a prerequisite for byte-identical
 multi-tenant traces.
 """
 
 from __future__ import annotations
 
-import math
-
-from ..config import ServiceConfig
 from ..sim.rng import make_rng
 
 #: spawn-key namespace for arrival streams (kept clear of rdd/split keys).
@@ -32,51 +29,3 @@ class PoissonArrivals:
 
     def times(self, n: int) -> list[float]:
         return [self.next_time() for _ in range(n)]
-
-
-class DiurnalArrivals:
-    """Inhomogeneous Poisson process with a sinusoidal rate profile.
-
-    Implemented by thinning: candidates are drawn at the peak rate and
-    accepted with probability ``rate(t) / peak_rate``, where ``rate(t)``
-    swings between ``trough_ratio * peak`` and ``peak`` over one period.
-    """
-
-    def __init__(
-        self,
-        seed: int,
-        rate_per_sec: float,
-        period_seconds: float,
-        trough_ratio: float,
-    ) -> None:
-        self._rng = make_rng(seed, _ARRIVAL_KEY, 1)
-        self._peak = float(rate_per_sec)
-        self._period = float(period_seconds)
-        self._trough = float(trough_ratio)
-        self._t = 0.0
-
-    def _relative_rate(self, t: float) -> float:
-        lo, hi = self._trough, 1.0
-        mid, amp = (lo + hi) / 2.0, (hi - lo) / 2.0
-        return mid + amp * math.sin(2.0 * math.pi * t / self._period)
-
-    def next_time(self) -> float:
-        while True:
-            self._t += float(self._rng.exponential(1.0 / self._peak))
-            if float(self._rng.random()) < self._relative_rate(self._t):
-                return self._t
-
-    def times(self, n: int) -> list[float]:
-        return [self.next_time() for _ in range(n)]
-
-
-def make_arrivals(config: ServiceConfig):
-    """Build the arrival process described by a :class:`ServiceConfig`."""
-    if config.arrival_process == "poisson":
-        return PoissonArrivals(config.arrival_seed, config.arrival_rate_per_sec)
-    return DiurnalArrivals(
-        config.arrival_seed,
-        config.arrival_rate_per_sec,
-        config.diurnal_period_seconds,
-        config.diurnal_trough_ratio,
-    )

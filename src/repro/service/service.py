@@ -36,7 +36,7 @@ from ..errors import ServiceError
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultSchedule
 from ..tracing.tracer import NULL_TRACER, Tracer
-from .arrivals import make_arrivals
+from .arrivals import PoissonArrivals
 from .client import JobClient, JobHandle
 from .identity import build_signature, contains_opaque
 from .policy import make_inter_job_policy
@@ -127,11 +127,10 @@ class JobService:
         # Observability hub: must exist before the driver attaches the
         # cache manager (attach() binds the audit log from cluster.obs).
         # Pure reader — enabling it cannot change a trace or a decision.
-        obs_config = blaze_config.obs
-        if obs_config.enabled:
+        if blaze_config.obs.enabled:
             from ..obs.hub import ObsHub
 
-            self.cluster.obs = ObsHub(obs_config, self.cluster)
+            self.cluster.obs = ObsHub(self.cluster)
             self.cluster.obs.bind_service(self)
         # Each scenario layer is armed by its argument alone.  A fault
         # schedule (even an empty one: calibration only) builds the injector.
@@ -240,9 +239,10 @@ class JobService:
     ) -> JobHandle:
         """Admit an application ``app_fn(client) -> result`` to the stream.
 
-        Without an explicit ``arrival_time`` the configured arrival
-        process (Poisson or diurnal, seeded) assigns the next one.  The
-        returned handle resolves once :meth:`run` drains the stream.
+        Without an explicit ``arrival_time`` a Poisson process at
+        ``ServiceConfig.arrival_rate_per_sec``, drawn from the service
+        seed, assigns the next one.  The returned handle resolves once
+        :meth:`run` drains the stream.
         """
         if self._shutdown:
             raise ServiceError("service already shut down")
@@ -252,7 +252,9 @@ class JobService:
             raise ServiceError("tenant must be a non-empty string")
         if arrival_time is None:
             if self._arrivals is None:
-                self._arrivals = make_arrivals(self.service_config)
+                self._arrivals = PoissonArrivals(
+                    self.seed, self.service_config.arrival_rate_per_sec
+                )
             arrival_time = self._arrivals.next_time()
         elif arrival_time < 0:
             raise ServiceError("arrival_time must be non-negative")
@@ -406,7 +408,7 @@ class JobService:
         return [r.latency for r in self.job_records]
 
     def _trace_service(self, name: str, app: _AppRuntime) -> None:
-        if self.service_config.trace_service_events and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.instant(
                 name, "service", pid=SERVICE_PID,
                 app=app.seq, tenant=app.tenant, state=app.state,

@@ -145,8 +145,7 @@ SYSTEMS: dict[str, SystemSpec] = {
         _spark("lrc_mem_only", "LRC (MEM)", StorageMode.MEM_ONLY, "lrc"),
         _spark("mrd_mem_only", "MRD (MEM)", StorageMode.MEM_ONLY, "mrd"),
         _blaze("blaze_mem_only", "Blaze (MEM)", disk_enabled=False),
-        _blaze("blaze_no_profile", "Blaze w/o Profiling", needs_profile=False,
-               profiling_enabled=False),
+        _blaze("blaze_no_profile", "Blaze w/o Profiling", needs_profile=False),
     ]
 }
 
@@ -162,7 +161,7 @@ def make_system(name: str, **overrides) -> SystemSpec:
 
     Blaze-kind systems accept any :class:`~repro.config.BlazeConfig` field::
 
-        make_system("blaze", ilp_backend="greedy")
+        make_system("blaze", ilp_horizon_jobs=3)
 
     Unknown system names and unknown blaze fields raise
     :class:`~repro.errors.ConfigError`; bad policy kwargs surface as

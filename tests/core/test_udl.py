@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, ObsConfig
 from repro.core.cost_lineage import JobCapture, StageRef, StreamTemplate
+from repro.core.profiler import LineageProfile
 from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
@@ -119,11 +120,16 @@ def test_ilp_runs_on_job_submit():
 
 
 def test_ablation_flags_reported_in_name():
-    assert BlazeCacheManager(BlazeConfig(cost_aware_enabled=False)).name == "blaze[+autocache]"
-    assert BlazeCacheManager(BlazeConfig(ilp_enabled=False)).name == "blaze[+costaware]"
-    assert BlazeCacheManager(BlazeConfig(disk_enabled=False)).name == "blaze[mem-only]"
-    assert BlazeCacheManager(BlazeConfig(profiling_enabled=False)).name == "blaze[no-profiling]"
-    assert BlazeCacheManager().name == "blaze"
+    profile = LineageProfile()
+
+    def name(**flags):
+        return BlazeCacheManager(BlazeConfig(**flags), profile).name
+
+    assert name(cost_aware_enabled=False) == "blaze[+autocache]"
+    assert name(ilp_enabled=False) == "blaze[+costaware]"
+    assert name(disk_enabled=False) == "blaze[mem-only]"
+    assert BlazeCacheManager().name == "blaze[no-profiling]"
+    assert name() == "blaze"
 
 
 def test_future_state_discounts_dying_ancestors():

@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, MiB, ObsConfig
 from repro.experiments.runner import run_experiment
+from repro.obs import hub
 from repro.obs.sampler import OccupancySampler
 from repro.sim.clock import VirtualClock
 from repro.workloads.base import replace_params
@@ -115,8 +116,9 @@ def _run(obs: ObsConfig | None):
     ).report
 
 
-def test_obs_run_collects_a_monotone_fixed_interval_series():
-    report = _run(ObsConfig(enabled=True, sample_interval_seconds=0.25))
+def test_obs_run_collects_a_monotone_fixed_interval_series(monkeypatch):
+    monkeypatch.setattr(hub, "SAMPLE_INTERVAL_SECONDS", 0.25)
+    report = _run(ObsConfig(enabled=True))
     assert report.samples, "the run must cross at least one boundary"
     for i, sample in enumerate(report.samples, start=1):
         assert sample.ts == pytest.approx(i * 0.25)
@@ -129,10 +131,10 @@ def test_obs_run_collects_a_monotone_fixed_interval_series():
     assert 0.0 < last.hit_ratio < 1.0
 
 
-def test_max_samples_truncates_a_real_run():
-    report = _run(
-        ObsConfig(enabled=True, sample_interval_seconds=0.25, max_samples=5)
-    )
+def test_max_samples_truncates_a_real_run(monkeypatch):
+    monkeypatch.setattr(hub, "SAMPLE_INTERVAL_SECONDS", 0.25)
+    monkeypatch.setattr(hub, "MAX_SAMPLES", 5)
+    report = _run(ObsConfig(enabled=True))
     assert len(report.samples) == 5
 
 

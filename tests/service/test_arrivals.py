@@ -6,7 +6,8 @@ import pytest
 
 from repro.config import ServiceConfig
 from repro.errors import ConfigError
-from repro.service.arrivals import DiurnalArrivals, PoissonArrivals, make_arrivals
+from repro.service import JobService
+from repro.service.arrivals import PoissonArrivals
 
 
 def test_poisson_is_deterministic_per_seed():
@@ -29,38 +30,31 @@ def test_poisson_mean_gap_tracks_the_rate():
     assert 0.2 < mean_gap < 0.3, "mean inter-arrival should be ~1/rate"
 
 
-def test_diurnal_is_deterministic_and_increasing():
-    a = DiurnalArrivals(seed=5, rate_per_sec=2.0, period_seconds=30.0,
-                        trough_ratio=0.2).times(80)
-    b = DiurnalArrivals(seed=5, rate_per_sec=2.0, period_seconds=30.0,
-                        trough_ratio=0.2).times(80)
-    assert a == b
-    assert all(t1 > t0 for t0, t1 in zip(a, a[1:]))
-
-
-def test_diurnal_is_slower_than_its_peak_rate():
-    peak = PoissonArrivals(seed=2, rate_per_sec=2.0).times(300)
-    thinned = DiurnalArrivals(seed=2, rate_per_sec=2.0, period_seconds=20.0,
-                              trough_ratio=0.1).times(300)
-    assert thinned[-1] > peak[-1], "thinning must stretch the schedule"
-
-
 def test_make_arrivals_dispatch():
-    assert isinstance(make_arrivals(ServiceConfig()), PoissonArrivals)
-    assert isinstance(
-        make_arrivals(ServiceConfig(arrival_process="diurnal")), DiurnalArrivals
+    """The service builds its Poisson process on the first untimed submit."""
+    service = JobService()
+    service.submit(lambda client: None, arrival_time=0.0)
+    assert service._arrivals is None, "timed submissions draw nothing"
+    service.submit(lambda client: None)
+    assert isinstance(service._arrivals, PoissonArrivals)
+    service.shutdown()
+
+
+def test_untimed_submissions_draw_from_the_service_seed():
+    rate = 0.5
+    service = JobService(
+        seed=7, service_config=ServiceConfig(arrival_rate_per_sec=rate)
     )
+    handles = [service.submit(lambda client: None) for _ in range(5)]
+    assert [h.arrival_time for h in handles] == PoissonArrivals(
+        service.seed, rate
+    ).times(5)
+    service.shutdown()
 
 
 def test_service_config_validation():
     with pytest.raises(ConfigError):
-        ServiceConfig(arrival_process="lunar")
-    with pytest.raises(ConfigError):
         ServiceConfig(arrival_rate_per_sec=0.0)
-    with pytest.raises(ConfigError):
-        ServiceConfig(diurnal_period_seconds=-1.0)
-    with pytest.raises(ConfigError):
-        ServiceConfig(diurnal_trough_ratio=0.0)
     with pytest.raises(ConfigError):
         ServiceConfig(inter_job_policy="random")
     with pytest.raises(ConfigError):

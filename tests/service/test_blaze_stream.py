@@ -61,7 +61,7 @@ def _stream(system: str):
         _cluster(), spec.build(profile=profile, blaze_config=bcfg),
         seed=SEED, tracer=tracer, blaze_config=bcfg,
         service_config=ServiceConfig(
-            inter_job_policy="fair", arrival_seed=SEED, arrival_rate_per_sec=0.25
+            inter_job_policy="fair", arrival_rate_per_sec=0.25
         ),
     )
     with service:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ClusterConfig, MiB, ServiceConfig
+from repro.dataflow.context import BlazeContext
 from repro.errors import DataflowError, ServiceError
 from repro.service import JobService
 from repro.service.service import SERVICE_PID
@@ -74,16 +75,14 @@ def test_arrival_times_gate_admission_on_the_virtual_clock():
 
 def test_default_arrivals_come_from_the_seeded_process():
     def build():
-        service = JobService(
-            _cluster(), service_config=ServiceConfig(arrival_seed=11)
-        )
+        service = JobService(_cluster(), seed=11)
         return service, [service.submit(_sum_app) for _ in range(3)]
 
     s1, h1 = build()
     s2, h2 = build()
     times1 = [h.arrival_time for h in h1]
     times2 = [h.arrival_time for h in h2]
-    assert times1 == times2, "same arrival seed, same schedule"
+    assert times1 == times2, "same service seed, same schedule"
     assert times1 == sorted(times1) and times1[0] > 0
     s1.shutdown(), s2.shutdown()
 
@@ -167,7 +166,7 @@ def _trace_stream(policy: str) -> str:
     tracer = InMemoryTracer()
     service = JobService(
         _cluster(), seed=3, tracer=tracer,
-        service_config=ServiceConfig(inter_job_policy=policy, arrival_seed=3),
+        service_config=ServiceConfig(inter_job_policy=policy),
     )
     # Distinguishable apps, all pending at t=0, so the inter-job policy's
     # grant order is visible in the merged trace.
@@ -192,20 +191,20 @@ def test_policies_actually_change_the_interleaving():
 # Service trace instants
 # ----------------------------------------------------------------------
 def test_service_events_are_opt_in():
-    def run(flagged: bool):
-        tracer = InMemoryTracer()
-        service = JobService(
-            _cluster(), tracer=tracer,
-            service_config=ServiceConfig(trace_service_events=flagged),
-        )
-        service.submit(_sum_app, tenant="a", arrival_time=0.0)
-        service.run()
-        service.shutdown()
-        return [e for e in tracer.events if e.pid == SERVICE_PID]
-
-    assert run(False) == []
-    events = run(True)
-    names = [e.name for e in events]
+    """Only submitted applications emit ``service.*`` instants: a traced
+    submission carries them, a traced ``BlazeContext`` session none."""
+    tracer = InMemoryTracer()
+    service = JobService(_cluster(), tracer=tracer)
+    service.submit(_sum_app, tenant="a", arrival_time=0.0)
+    service.run()
+    service.shutdown()
+    names = [e.name for e in tracer.events if e.pid == SERVICE_PID]
     assert "service.app_admitted" in names
     assert "service.grant" in names
     assert "service.app_done" in names
+
+    tracer = InMemoryTracer()
+    with BlazeContext(_cluster(), tracer=tracer) as ctx:
+        assert _sum_app(ctx) == sum(range(100))
+    assert tracer.events, "the context run is traced"
+    assert [e for e in tracer.events if e.pid == SERVICE_PID] == []

@@ -66,11 +66,11 @@ def test_spark_bad_policy_kwargs_surface_as_policy_error():
 
 
 def test_blaze_field_override():
-    spec = make_system("blaze", ilp_backend="greedy", ilp_horizon_jobs=3)
-    assert spec.blaze_overrides["ilp_backend"] == "greedy"
+    spec = make_system("blaze", ilp_enabled=False, ilp_horizon_jobs=3)
+    assert spec.blaze_overrides["ilp_enabled"] is False
     manager = spec.build()
     assert isinstance(manager, BlazeCacheManager)
-    assert manager.config.ilp_backend == "greedy"
+    assert manager.config.ilp_enabled is False
     assert manager.config.ilp_horizon_jobs == 3
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import BlazeConfig, ClusterConfig, DiskConfig, GiB, MiB
+from repro.config import ClusterConfig, DiskConfig, GiB, MiB
 from repro.dataflow.context import BlazeContext
 from repro.experiments.runner import run_experiment, tiny_cluster
 from repro.systems import make_system
@@ -145,11 +145,9 @@ def test_context_stop_is_idempotent_and_releases_blocks():
 
 
 def test_repeated_contexts_do_not_leak_blocks():
-    blaze = BlazeConfig(profiling_enabled=False)
     acts = []
     for _ in range(2):
-        ctx = BlazeContext(tiny_cluster(), make_system("blaze_no_profile").build(
-            blaze_config=blaze), seed=3)
+        ctx = BlazeContext(tiny_cluster(), make_system("blaze_no_profile").build(), seed=3)
         make_workload("pr", "tiny").run(ctx)
         acts.append(ctx.now)
         ctx.stop()
