@@ -220,6 +220,10 @@ class ObsConfig:
     enabled: bool = False
 
 
+#: The Fig. 11 ablation ladder of :class:`BlazeConfig`, lowest rung first.
+RUNGS = ("autocache", "costaware", "full")
+
+
 @dataclass(frozen=True)
 class BlazeConfig:
     """Tunables of the Blaze unified decision layer (paper section 5).
@@ -232,6 +236,11 @@ class BlazeConfig:
     - ``sharded_engine`` — fan task execution out across shard workers
       (``repro.shard``) while the coordinator replays the engine
       sequentially; traces byte-identical either way (docs/scaling.md).
+
+    The decision layer's ablations are one ordered setting, ``rung``
+    (Fig. 11: ``"autocache" < "costaware" < "full"``), plus two switches
+    of the full rung: ``ilp_enabled`` (the ILP-off ablation) and
+    ``disk_enabled`` (Fig. 12's memory-only Blaze).
 
     The scenario layers have no switch here: the argument passed to the
     context arms each one — a ``fault_schedule`` the fault injector, a
@@ -253,17 +262,15 @@ class BlazeConfig:
     # fallback when the node budget runs out (``repro.core.ilp``).
     ilp_horizon_jobs: int = 2
 
-    # Automatic caching (section 5.6).
-    autocache_enabled: bool = True
-    # Unified admission / cost-aware eviction (sections 4.1, 4.2).  The
-    # evaluation's ablations toggle these:
-    #   +AutoCache  = cost_aware/recompute/ilp/admission all off
-    #   +CostAware  = cost_aware on, recompute/ilp/admission off
-    #   Blaze       = everything on
-    cost_aware_enabled: bool = True
-    recompute_option_enabled: bool = True
+    # The Fig. 11 ablation ladder, one of ``RUNGS``; each rung adds one
+    # component to the rung below.  Every rung caches automatically (5.6).
+    #   "autocache" = LRU victims, always spilled to disk
+    #   "costaware" = victims ordered by potential disk cost (section 7.3)
+    #   "full"      = unified admission, per-victim disk-or-recompute
+    #                 (sections 4.1, 4.2) and the ILP (section 5.5)
+    rung: str = "full"
+    # False turns the ILP off on the full rung (lower rungs never run it).
     ilp_enabled: bool = True
-    admission_enabled: bool = True
     # False models the Fig. 12 memory-only Blaze variant: victims are always
     # discarded and nothing is spilled.
     disk_enabled: bool = True
@@ -298,6 +305,8 @@ class BlazeConfig:
     elastic: ElasticConfig = field(default_factory=ElasticConfig)
 
     def __post_init__(self) -> None:
+        if self.rung not in RUNGS:
+            raise ConfigError(f"unknown rung: {self.rung!r} (expected one of {RUNGS})")
         if self.ilp_horizon_jobs < 1:
             raise ConfigError("ilp_horizon_jobs must be >= 1")
         if not 0 < self.profiling_sample_fraction <= 1:

@@ -16,7 +16,7 @@ One component makes all three layers' decisions from one cost model
   horizon are re-optimized per executor and blocks are migrated to match.
 
 The ablation variants of Fig. 11 (+AutoCache, +CostAware) are this same
-class with :class:`~repro.config.BlazeConfig` feature flags switched off.
+class on a lower rung of :attr:`~repro.config.BlazeConfig.rung`.
 """
 
 from __future__ import annotations
@@ -73,10 +73,10 @@ class BlazeCacheManager(CacheManager):
 
     def _variant_name(self) -> str:
         cfg = self.config
-        if not cfg.cost_aware_enabled:
-            return "blaze[+autocache]"
+        if cfg.rung != "full":
+            return f"blaze[+{cfg.rung}]"
         if not cfg.ilp_enabled:
-            return "blaze[+costaware]"
+            return "blaze[-ilp]"
         if not cfg.disk_enabled:
             return "blaze[mem-only]"
         if self.profile is None:
@@ -110,15 +110,16 @@ class BlazeCacheManager(CacheManager):
     # Residency listener (BlockManager callbacks) + the victim order
     # ------------------------------------------------------------------
     def _index_key_fn(self):
-        """The victim ordering for this variant, as ``block -> key``.
+        """The victim ordering for this rung, as ``block -> key``.
 
         Full Blaze orders by weighted potential cost per byte, +CostAware by
         potential disk access cost (§7.3), +AutoCache by recency (LRU).
         """
         cache = self._cache
-        if not self.config.cost_aware_enabled:
+        rung = self.config.rung
+        if rung == "autocache":
             return lambda b: b.last_access
-        if not self.config.admission_enabled:
+        if rung == "costaware":
             return lambda b: self.cost_model.cost_d(b.rdd_id, b.split, cache.scratch())
 
         def density(b: Block) -> float:
@@ -225,8 +226,6 @@ class BlazeCacheManager(CacheManager):
     # Caching layer: candidates come from future references, not the user
     # ------------------------------------------------------------------
     def is_cache_candidate(self, rdd: "RDD") -> bool:
-        if not self.config.autocache_enabled:
-            return rdd.is_annotated_cached
         if self.lineage.future_refs(rdd.rdd_id, inclusive=True) > 0:
             return True
         # While lineage knowledge is incomplete (truncated profile, cycle
@@ -277,7 +276,7 @@ class BlazeCacheManager(CacheManager):
         )
         self.lineage.set_position(job.seq_in_stream, 0)
         self.lineage.predict_through(job.seq_in_stream + self.config.ilp_horizon_jobs)
-        if self.config.ilp_enabled:
+        if self.config.rung == "full" and self.config.ilp_enabled:
             self._run_ilp(job)
 
     def on_stage_start(self, stage: "Stage") -> None:
@@ -366,9 +365,9 @@ class BlazeCacheManager(CacheManager):
         refs = self.lineage.future_refs(block.rdd_id, inclusive=True)
         if refs <= 0:
             return
-        if not self.config.admission_enabled:
-            # Ablations without the unified admission comparison promote
-            # only into free space (plain Spark's promote-on-read), since
+        if self.config.rung != "full":
+            # Rungs without the unified admission comparison promote only
+            # into free space (plain Spark's promote-on-read), since
             # displacing residents without a cost check amplifies thrash.
             if executor.bm.memory.fits(block.size_bytes):
                 self._place_in_memory(executor.bm, block, True, self.cluster.clock.now)
@@ -384,7 +383,7 @@ class BlazeCacheManager(CacheManager):
     def _audit_candidates(
         self, victims: list[Block], tier_of=None
     ) -> tuple[CandidateTerm, ...]:
-        cost_aware = self.config.cost_aware_enabled
+        cost_aware = self.config.rung != "autocache"
         out = []
         for v in victims:
             cost_d = cost_r = pc = None
@@ -525,7 +524,7 @@ class BlazeCacheManager(CacheManager):
             return
 
         incoming_value = displaced_value = None
-        if self.config.admission_enabled:
+        if self.config.rung == "full":
             incoming_value = cache.potential_cost(block.rdd_id, block.split) * refs
             displaced_value = sum(cache.block_value(v) for v in victims)
             if displaced_value >= incoming_value:
@@ -585,11 +584,10 @@ class BlazeCacheManager(CacheManager):
         """The state a memory victim is cheapest in (§4.2)."""
         if not self.config.disk_enabled:
             return "gone"
-        if not self.config.recompute_option_enabled:
+        if self.config.rung != "full":
             return "disk"
         if (
-            self.config.cost_aware_enabled
-            and self.lineage.future_refs(victim.rdd_id, inclusive=False) == 0
+            self.lineage.future_refs(victim.rdd_id, inclusive=False) == 0
             and self.lineage.refs_exhaustive(victim.rdd_id)
         ):
             # No references beyond the currently executing stage: disk
@@ -615,7 +613,7 @@ class BlazeCacheManager(CacheManager):
         """
         if not self.config.disk_enabled:
             return False
-        if not (self.config.cost_aware_enabled and self.config.recompute_option_enabled):
+        if self.config.rung != "full":
             executor.bm.insert_disk(block, tm)
             return True
         state = self._cache.preferred_state(block.rdd_id, block.split)

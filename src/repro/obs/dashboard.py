@@ -11,9 +11,9 @@ from __future__ import annotations
 from html import escape
 from typing import Iterable, Sequence
 
+from ..tracing.report import HIT_EVENTS
 from .critical_path import BUCKETS, analyze_critical_paths
 
-_HIT_EVENTS = ("cache.hit_mem", "cache.hit_disk")
 _EVICT_EVENTS = ("cache.evict_spill", "cache.evict_discard", "cache.disk_evict")
 
 _BUCKET_COLORS = {
@@ -141,7 +141,7 @@ def render_dashboard_html(
             if e.name == "task":
                 task_count += 1
             continue
-        if e.name in _HIT_EVENTS or e.name == "cache.miss":
+        if e.name in HIT_EVENTS or e.name == "cache.miss":
             if e.name == "cache.miss":
                 misses += 1
             else:

@@ -54,10 +54,7 @@ class OccupancySampler:
     """Clock-driven sampler; attach via ``clock.add_listener(s.on_advance)``."""
 
     def __init__(
-        self,
-        cluster: "Cluster",
-        interval_seconds: float = 1.0,
-        max_samples: int = 50_000,
+        self, cluster: "Cluster", interval_seconds: float, max_samples: int
     ) -> None:
         if interval_seconds <= 0:
             raise ValueError("sample interval must be positive")

@@ -105,9 +105,9 @@ def _spark(key: str, label: str, mode: StorageMode, policy: str) -> SystemSpec:
     return SystemSpec(key, label, "spark", storage_mode=mode, policy=policy)
 
 
-def _blaze(key: str, label: str, needs_profile: bool = True, **flag_overrides) -> SystemSpec:
+def _blaze(key: str, label: str, needs_profile: bool = True, **overrides) -> SystemSpec:
     return SystemSpec(
-        key, label, "blaze", blaze_overrides=flag_overrides, needs_profile=needs_profile
+        key, label, "blaze", blaze_overrides=overrides, needs_profile=needs_profile
     )
 
 
@@ -126,22 +126,8 @@ SYSTEMS: dict[str, SystemSpec] = {
         _spark("spark_tinylfu", "TinyLFU", StorageMode.MEM_AND_DISK, "tinylfu"),
         _spark("spark_lecar", "LeCaR", StorageMode.MEM_AND_DISK, "lecar"),
         _blaze("blaze", "Blaze"),
-        _blaze(
-            "autocache",
-            "+AutoCache",
-            cost_aware_enabled=False,
-            recompute_option_enabled=False,
-            ilp_enabled=False,
-            admission_enabled=False,
-        ),
-        _blaze(
-            "costaware",
-            "+CostAware",
-            cost_aware_enabled=True,
-            recompute_option_enabled=False,
-            ilp_enabled=False,
-            admission_enabled=False,
-        ),
+        _blaze("autocache", "+AutoCache", rung="autocache"),
+        _blaze("costaware", "+CostAware", rung="costaware"),
         _spark("lrc_mem_only", "LRC (MEM)", StorageMode.MEM_ONLY, "lrc"),
         _spark("mrd_mem_only", "MRD (MEM)", StorageMode.MEM_ONLY, "mrd"),
         _blaze("blaze_mem_only", "Blaze (MEM)", disk_enabled=False),

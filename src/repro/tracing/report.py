@@ -43,7 +43,8 @@ _EVICTION_EVENTS = {
     "cache.evict_discard": "discard",
     "cache.disk_evict": "disk_discard",
 }
-_HIT_EVENTS = {"cache.hit_mem", "cache.hit_disk"}
+#: event names of a cache hit, one per ``MetricsCollector.cache_hits`` count
+HIT_EVENTS = frozenset({"cache.hit_mem", "cache.hit_disk", "cache.hit_remote"})
 _MISS_EVENT = "cache.miss"
 
 
@@ -291,7 +292,7 @@ class RunReport:
         for e in self.events:
             if e.kind != "event":
                 continue
-            if e.name in _HIT_EVENTS:
+            if e.name in HIT_EVENTS:
                 hits += 1
             elif e.name == _MISS_EVENT:
                 misses += 1

@@ -18,6 +18,7 @@ from repro.config import (
     ServiceConfig,
 )
 from repro.core.profiler import run_dependency_extraction
+from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.fusion import FusionPlanner
 from repro.service import JobService
@@ -25,6 +26,17 @@ from repro.storage.backend import ColumnarBackend
 from repro.systems.presets import make_system
 from repro.workloads.base import replace_params
 from repro.workloads.registry import make_workload
+
+
+class AnnotatedBlazeCacheManager(BlazeCacheManager):
+    """Blaze whose cache candidates are the user's ``.cache()`` annotations.
+
+    Keeps a scenario exactly as constructed: no intermediate dataset
+    becomes a candidate through its future references.
+    """
+
+    def is_cache_candidate(self, rdd) -> bool:
+        return rdd.is_annotated_cached
 
 
 def make_cluster_config(

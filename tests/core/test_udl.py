@@ -119,14 +119,25 @@ def test_ilp_runs_on_job_submit():
     assert ctx.metrics.ilp_solves > 0
 
 
+@pytest.mark.parametrize("rung", ["autocache", "costaware"])
+def test_lower_rungs_never_run_the_ilp(rung):
+    ctx, _ = make_blaze_ctx(memory_mb=16, config=BlazeConfig(rung=rung, ilp_enabled=True))
+    src = ctx.source(lambda s, rng: [1.0] * 4, 2, size_model=SizeModel(bytes_per_element=MB))
+    derived = src.map(lambda x: x)
+    for _ in range(5):
+        derived.count()
+    assert ctx.metrics.ilp_solves == 0
+
+
 def test_ablation_flags_reported_in_name():
     profile = LineageProfile()
 
     def name(**flags):
         return BlazeCacheManager(BlazeConfig(**flags), profile).name
 
-    assert name(cost_aware_enabled=False) == "blaze[+autocache]"
-    assert name(ilp_enabled=False) == "blaze[+costaware]"
+    assert name(rung="autocache") == "blaze[+autocache]"
+    assert name(rung="costaware") == "blaze[+costaware]"
+    assert name(ilp_enabled=False) == "blaze[-ilp]"
     assert name(disk_enabled=False) == "blaze[mem-only]"
     assert BlazeCacheManager().name == "blaze[no-profiling]"
     assert name() == "blaze"

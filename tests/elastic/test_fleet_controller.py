@@ -21,12 +21,12 @@ from repro.elastic import FleetController, ScaleSchedule, ScaleSpec
 from repro.metrics.collector import TaskMetrics
 from repro.storage.columnar import DISK_CODEC, MEMORY_CODEC, ColumnarBatch
 
+from conftest import AnnotatedBlazeCacheManager
+
 
 def _ctx(num_executors=3, memory_mb=256, **elastic_kwargs):
     elastic = ElasticConfig(**elastic_kwargs)
-    bcfg = BlazeConfig(
-        autocache_enabled=False, ilp_enabled=False, elastic=elastic
-    )
+    bcfg = BlazeConfig(ilp_enabled=False, elastic=elastic)
     ctx = BlazeContext(
         ClusterConfig(
             num_executors=num_executors,
@@ -34,7 +34,7 @@ def _ctx(num_executors=3, memory_mb=256, **elastic_kwargs):
             memory_store_bytes=memory_mb * MiB,
             disk=DiskConfig(capacity_bytes=10 * GiB),
         ),
-        BlazeCacheManager(config=bcfg),
+        AnnotatedBlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
         scale_schedule=ScaleSchedule(),  # the pool; the tests drive the fleet
     )

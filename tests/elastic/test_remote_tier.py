@@ -21,10 +21,11 @@ from repro.elastic import ScaleSchedule
 from repro.errors import StorageError
 from repro.metrics.collector import TaskMetrics
 
+from conftest import AnnotatedBlazeCacheManager
+
 
 def _elastic_bcfg(**remote_kwargs) -> BlazeConfig:
     return BlazeConfig(
-        autocache_enabled=False,
         ilp_enabled=False,
         elastic=ElasticConfig(remote_memory=RemoteMemoryConfig(**remote_kwargs)),
     )
@@ -39,7 +40,7 @@ def _ctx(memory_mb: float = 512, **remote_kwargs) -> BlazeContext:
             memory_store_bytes=memory_mb * MiB,
             disk=DiskConfig(capacity_bytes=10 * GiB),
         ),
-        BlazeCacheManager(config=bcfg),
+        AnnotatedBlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
         scale_schedule=ScaleSchedule(),  # a fixed fleet with the pool
     )
@@ -107,10 +108,10 @@ def test_remote_pool_is_shared_across_executors():
 
 def test_demote_without_tier_or_space_returns_none():
     # Tier disabled: primitives decline instead of erroring.
-    bcfg = BlazeConfig(autocache_enabled=False, ilp_enabled=False)
+    bcfg = BlazeConfig(ilp_enabled=False)
     ctx = BlazeContext(
         ClusterConfig(num_executors=1, memory_store_bytes=64 * MiB),
-        BlazeCacheManager(config=bcfg),
+        AnnotatedBlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
     )
     bm = ctx.cluster.executors[0].bm
@@ -222,7 +223,7 @@ def test_engine_reads_back_from_remote_tier():
             num_executors=2, slots_per_executor=2,
             memory_store_bytes=512 * MiB, disk=DiskConfig(capacity_bytes=10 * GiB),
         ),
-        BlazeCacheManager(config=bcfg),
+        AnnotatedBlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
         tracer=tracer,
         scale_schedule=ScaleSchedule(),

@@ -17,12 +17,11 @@ actually charged.  These tests pin the model's accuracy per scenario:
 from __future__ import annotations
 
 from repro.config import BlazeConfig, MiB
-from repro.core.udl import BlazeCacheManager
 from repro.dataflow.context import BlazeContext
 from repro.dataflow.operators import OpCost, SizeModel
 from repro.faults import FaultSchedule
 
-from conftest import make_cluster_config
+from conftest import AnnotatedBlazeCacheManager, make_cluster_config
 
 #: declared calibration tolerances (relative error) per scenario
 EXACT_TOL = 1e-9
@@ -32,10 +31,10 @@ CHAIN_TOL = 0.05
 def _blaze_ctx(memory_mb: float = 512) -> BlazeContext:
     # Annotation-driven candidates and no ILP keep the scenarios exactly
     # as constructed (no auto-caching of intermediates, no migrations).
-    bcfg = BlazeConfig(autocache_enabled=False, ilp_enabled=False)
+    bcfg = BlazeConfig(ilp_enabled=False)
     return BlazeContext(
         make_cluster_config(memory_mb=memory_mb),
-        BlazeCacheManager(config=bcfg),
+        AnnotatedBlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
         fault_schedule=FaultSchedule(),  # calibration-only: nothing injected
     )
@@ -145,10 +144,10 @@ def test_deep_lineage_recovery_within_declared_tolerance():
 def _elastic_blaze_ctx(memory_mb: float = 512) -> BlazeContext:
     from repro.elastic import ScaleSchedule
 
-    bcfg = BlazeConfig(autocache_enabled=False, ilp_enabled=False)
+    bcfg = BlazeConfig(ilp_enabled=False)
     return BlazeContext(
         make_cluster_config(memory_mb=memory_mb),
-        BlazeCacheManager(config=bcfg),
+        AnnotatedBlazeCacheManager(config=bcfg),
         blaze_config=bcfg,
         fault_schedule=FaultSchedule(),  # calibration-only: nothing injected
         scale_schedule=ScaleSchedule(),  # a fixed fleet with the pool

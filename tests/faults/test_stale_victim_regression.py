@@ -28,12 +28,7 @@ def _lru_ctx() -> BlazeContext:
     One executor, one slot: placement and access order are sequential, so
     partition 0 of the first cached dataset is always the LRU victim.
     """
-    bcfg = BlazeConfig(
-        cost_aware_enabled=False,
-        recompute_option_enabled=False,
-        ilp_enabled=False,
-        admission_enabled=False,
-    )
+    bcfg = BlazeConfig(rung="autocache")
     return BlazeContext(
         ClusterConfig(
             num_executors=1,
@@ -116,12 +111,7 @@ def test_purge_lost_keeps_admissions_working():
 
 def test_on_block_lost_forgets_cost_memos():
     """The read after a loss is a fresh compute, not a stale memo entry."""
-    bcfg = BlazeConfig(
-        cost_aware_enabled=True,
-        recompute_option_enabled=False,
-        ilp_enabled=False,
-        admission_enabled=False,
-    )
+    bcfg = BlazeConfig(rung="costaware")
     ctx = BlazeContext(
         ClusterConfig(
             num_executors=1,

@@ -97,11 +97,11 @@ def _trace(system: str,
 # Online differential oracle for the decision layer
 # ----------------------------------------------------------------------
 def _fresh_order_key(manager: BlazeCacheManager):
-    """The variant's victim ordering from fresh-memo ``CostModel`` calls."""
-    cfg, model, memo = manager.config, manager.cost_model, {}
-    if not cfg.cost_aware_enabled:
+    """The rung's victim ordering from fresh-memo ``CostModel`` calls."""
+    rung, model, memo = manager.config.rung, manager.cost_model, {}
+    if rung == "autocache":
         return lambda b: b.last_access
-    if not cfg.admission_enabled:
+    if rung == "costaware":
         return lambda b: model.cost_d(b.rdd_id, b.split, memo)
 
     def density(b):
@@ -431,6 +431,26 @@ def test_elastic_faulted_sharded_trace_is_deterministic(system):
         scale_schedule=_scale_schedule(),
     )
     assert _trace(system, **kwargs) == _trace(system, **kwargs)
+
+
+# A remote-tier read is a cache hit like any other: the trace replay and
+# the dashboard count the hits the driver's counters count.
+def test_traced_hits_match_the_counters_under_a_scale_schedule():
+    from repro.obs.dashboard import render_dashboard_html
+
+    tracer = InMemoryTracer()
+    report = run_experiment(
+        "blaze",
+        replace_params(make_workload("pr", "tiny"), num_partitions=24),
+        scale="tiny", seed=SEED, cluster_config=_pressure_cluster(),
+        tracer=tracer, scale_schedule=_scale_schedule(),
+    ).report
+    hits = report.access_counters["cache_hits"]
+    assert any(e.name == "cache.hit_remote" for e in tracer.events)
+    last = report.hit_miss_series()[-1]
+    assert (last.hits, last.misses) == (hits, report.access_counters["cache_misses"])
+    html = render_dashboard_html(tracer.events)
+    assert f"<td>cache hits</td><td>{hits}</td>" in html
 
 
 # Multi-tenant service runs on an elastic fleet replay deterministically

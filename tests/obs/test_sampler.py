@@ -40,7 +40,7 @@ def _stub_cluster(mem_blocks=(), disk_blocks=(), hits=0, misses=0, shared=0):
 
 
 def test_samples_stamp_fixed_interval_boundaries():
-    sampler = OccupancySampler(_stub_cluster(), interval_seconds=1.0)
+    sampler = OccupancySampler(_stub_cluster(), interval_seconds=1.0, max_samples=100)
     sampler.on_advance(0.4)       # before the first boundary: nothing
     assert sampler.samples == ()
     sampler.on_advance(2.5)       # one jump across two boundaries
@@ -53,7 +53,7 @@ def test_samples_stamp_fixed_interval_boundaries():
 
 def test_interval_must_be_positive():
     with pytest.raises(ValueError):
-        OccupancySampler(_stub_cluster(), interval_seconds=0.0)
+        OccupancySampler(_stub_cluster(), interval_seconds=0.0, max_samples=100)
 
 
 def test_max_samples_caps_the_series_and_flags_truncation():
@@ -73,7 +73,7 @@ def test_snapshot_groups_occupancy_by_tenant():
         disk_blocks=[_block("bob", 7.0)],
         hits=3, misses=1, shared=1,
     )
-    sampler = OccupancySampler(cluster, interval_seconds=1.0)
+    sampler = OccupancySampler(cluster, interval_seconds=1.0, max_samples=100)
     sampler.on_advance(1.0)
     (sample,) = sampler.samples
     assert sample.memory_used_bytes == 17.0
@@ -91,7 +91,7 @@ def test_snapshot_groups_occupancy_by_tenant():
 
 def test_sampler_fires_from_the_clock_listener_hook():
     clock = VirtualClock()
-    sampler = OccupancySampler(_stub_cluster(), interval_seconds=0.5)
+    sampler = OccupancySampler(_stub_cluster(), interval_seconds=0.5, max_samples=100)
     clock.add_listener(sampler.on_advance)
     clock.advance_by(1.2)
     assert [s.ts for s in sampler.samples] == [0.5, 1.0]

@@ -74,10 +74,18 @@ def test_blaze_field_override():
     assert manager.config.ilp_horizon_jobs == 3
 
 
+@pytest.mark.parametrize(
+    "system, rung",
+    [("autocache", "autocache"), ("costaware", "costaware"), ("blaze", "full")],
+)
+def test_presets_build_their_rung(system, rung):
+    assert make_system(system).build().config.rung == rung
+
+
 def test_blaze_override_stacks_on_preset_overrides():
     spec = make_system("autocache", ilp_horizon_jobs=1)
     manager = spec.build()
-    assert manager.config.cost_aware_enabled is False, "preset flag kept"
+    assert manager.config.rung == "autocache", "preset rung kept"
     assert manager.config.ilp_horizon_jobs == 1
 
 

@@ -54,12 +54,14 @@ def test_blaze_config_validation():
         BlazeConfig(ilp_horizon_jobs=0)
     with pytest.raises(ConfigError):
         BlazeConfig(profiling_sample_fraction=0.0)
+    with pytest.raises(ConfigError):
+        BlazeConfig(rung="ilp")
 
 
 def test_blaze_config_flags_default_on():
     cfg = BlazeConfig()
-    assert cfg.autocache_enabled and cfg.cost_aware_enabled
-    assert cfg.ilp_enabled and cfg.admission_enabled and cfg.disk_enabled
+    assert cfg.rung == "full"
+    assert cfg.ilp_enabled and cfg.disk_enabled
 
 
 def test_config_surface_is_pinned():
@@ -71,11 +73,8 @@ def test_config_surface_is_pinned():
         "profiling_timeout_seconds",
         "profiling_sample_fraction",
         "ilp_horizon_jobs",
-        "autocache_enabled",
-        "cost_aware_enabled",
-        "recompute_option_enabled",
+        "rung",
         "ilp_enabled",
-        "admission_enabled",
         "disk_enabled",
         "fault_max_task_retries",
         "sharded_engine",
